@@ -1,12 +1,11 @@
 // google-benchmark microbenchmarks for the numerical substrates: banded LU,
-// FDFD assembly, FFT, GEMM, spectral/standard convolution (direct reference
+// FDFD assembly, GEMM, spectral/standard convolution (direct reference
 // vs im2col+GEMM), blur, mode solver, and an end-to-end NN training step.
 #include <benchmark/benchmark.h>
 
 #include "fdfd/assembler.hpp"
 #include "fdfd/mode_solver.hpp"
 #include "math/banded.hpp"
-#include "math/fft.hpp"
 #include "math/gemm.hpp"
 #include "math/rng.hpp"
 #include "nn/layers.hpp"
@@ -105,17 +104,6 @@ static void BM_BandedSolveMulti8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BandedSolveMulti8)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-
-static void BM_Fft2(benchmark::State& state) {
-  const index_t n = state.range(0);
-  math::Rng rng(5);
-  math::CplxGrid g(n, n);
-  for (index_t k = 0; k < g.size(); ++k) g[k] = {rng.uniform(), rng.uniform()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(math::fft2(g));
-  }
-}
-BENCHMARK(BM_Fft2)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 static void BM_Conv2d(benchmark::State& state) {
   math::Rng rng(7);

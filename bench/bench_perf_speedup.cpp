@@ -330,21 +330,15 @@ namespace {
 // real_times is the serving win (request-dispatch amortization + batched
 // const inference + worker parallelism) measured within one run, which is
 // what the CI perf gate tracks as serve_batched_vs_unbatched. The result
-// cache is disabled in both so the comparison is pure model inference; the
-// requests use the 32x32 grid of the Low-fidelity (factor-2 coarse) serving
-// tier.
+// cache is disabled in both so the comparison is pure model inference. Every
+// serve bench runs the model `maps_cli serve` installs (the nn::ModelConfig
+// defaults) on 64x64 grids, so they time the forward production serves.
 
-constexpr index_t kServeGrid = 32;
+constexpr index_t kServeGrid = 64;
 constexpr int kServeRequests = 64;
 
 std::shared_ptr<maps::serve::ModelRegistry> serve_registry() {
-  nn::ModelConfig mcfg;
-  mcfg.kind = nn::ModelKind::Fno;
-  mcfg.in_channels = 4;
-  mcfg.out_channels = 2;
-  mcfg.width = 8;
-  mcfg.modes = 4;
-  mcfg.depth = 2;
+  const nn::ModelConfig mcfg;
   auto registry = std::make_shared<maps::serve::ModelRegistry>();
   registry->install("bench-fno", mcfg, nn::make_model(mcfg));
   return registry;
@@ -584,7 +578,7 @@ static void BM_ServeHttpKeepAlive(benchmark::State& state) {
   while (port.load() == 0) std::this_thread::yield();
   const int fd = bench_connect(port.load());
 
-  // One wire body, reused: 32x32 eps, summary-only reply.
+  // One wire body, reused: a kServeGrid x kServeGrid eps map, summary-only reply.
   std::ostringstream body;
   body << "{\"nx\": " << kServeGrid << ", \"ny\": " << kServeGrid
        << ", \"dl\": " << (6.4 / static_cast<double>(kServeGrid))

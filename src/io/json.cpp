@@ -308,6 +308,19 @@ class Parser {
   }
 
  private:
+  /// Containers nest by recursion, so an unbounded `[[[...` body would
+  /// overflow the stack; past kMaxJsonDepth the document is rejected.
+  struct DepthGuard {
+    explicit DepthGuard(Parser& p) : parser(p) {
+      if (++parser.depth_ > kMaxJsonDepth) {
+        parser.fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                    " levels");
+      }
+    }
+    ~DepthGuard() { --parser.depth_; }
+    Parser& parser;
+  };
+
   [[noreturn]] void fail(const std::string& msg) const {
     std::size_t line = 1, col = 1;
     for (std::size_t k = 0; k < pos_ && k < text_.size(); ++k) {
@@ -449,6 +462,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     JsonArray a;
     skip_ws();
@@ -470,6 +484,7 @@ class Parser {
   }
 
   JsonValue parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     JsonObject o;
     skip_ws();
@@ -498,6 +513,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

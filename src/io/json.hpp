@@ -126,8 +126,12 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
+/// Deepest array/object nesting json_parse accepts.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected). Throws MapsError with line:column context.
+/// garbage and nesting past kMaxJsonDepth rejected). Throws MapsError with
+/// line:column context.
 JsonValue json_parse(const std::string& text);
 
 /// File convenience wrappers.

@@ -1,7 +1,7 @@
 // Batched inference entry points over Module::infer.
 //
 // The serving layer coalesces many single-sample requests into one (N, C, H,
-// W) forward so the GEMM/FFT batch kernels see a full batch and the
+// W) forward so the GEMM batch kernels see a full batch and the
 // per-forward dispatch cost is paid once. These helpers do the stacking and
 // splitting; because every layer's infer() processes batch rows
 // independently, a stacked forward is bit-identical to N single-sample

@@ -1,15 +1,21 @@
 // Spectral convolution layers: the Fourier-domain kernels of FNO [6] and
 // Factorized-FNO [7].
 //
-// SpectralConv2d: FFT2 -> complex channel-mixing weights on the low-frequency
-// corner blocks (kx in [0,m1) u [nx-m1,nx), ky in [0,m2)) -> inverse FFT2,
-// real part. SpectralConv1d applies the same idea along a single axis
-// (weights shared across the other axis), which is the factorization of
-// F-FNO. Both have exact adjoint backward passes (FFT adjoint = scaled
-// inverse FFT; weights get the conjugated products).
+// SpectralConv2d: Fourier transform -> complex channel-mixing weights on the
+// low-frequency corner blocks (kx in [0,m1) u [nx-m1,nx), ky in [0,m2)) ->
+// inverse transform, real part. SpectralConv1d applies the same idea along a
+// single axis (weights shared across the other axis), which is the
+// factorization of F-FNO.
+//
+// Only the retained modes are ever formed: each transform is a
+// mode-truncated real DFT lowered onto math::sgemm ([cos | -sin] bases over
+// the kept frequencies, batched across every (sample, channel) plane), so
+// the cost is O(H*W*modes) GEMM work and any grid size is exact. Both layers
+// have exact adjoint backward passes: the same GEMMs with the bases
+// transposed, and weight gradients from the conjugated products of the
+// cached kept-mode coefficients.
 #pragma once
 
-#include "math/field2d.hpp"
 #include "nn/module.hpp"
 
 namespace maps::nn {
@@ -26,16 +32,17 @@ class SpectralConv2d final : public Module {
   std::vector<Param*> parameters() override { return {&w_}; }
 
  private:
-  /// FFT -> corner-block channel mixing -> inverse FFT, shared by forward()
-  /// and infer(). On return `x_hat` holds the input-plane FFTs (the forward
-  /// path moves it into the backward cache; infer drops it).
-  Tensor run_forward(const Tensor& x, std::vector<maps::math::CplxGrid>& x_hat) const;
+  /// Truncated DFT -> corner-block channel mixing -> inverse DFT, shared by
+  /// forward() and infer(). On return `x_hat` holds the input's kept-mode
+  /// coefficients (the forward path moves it into the backward cache; infer
+  /// drops it).
+  Tensor run_forward(const Tensor& x, std::vector<float>& x_hat) const;
 
   index_t c_in_, c_out_, mx_, my_;
   std::string tag_;
   // (2 blocks, c_in, c_out, mx, my, 2[re/im])
   Param w_;
-  std::vector<maps::math::CplxGrid> x_hat_;  // cached FFTs, index n*c_in+ci
+  std::vector<float> x_hat_;  // cached kept-mode coefficients of the input
   std::vector<index_t> in_shape_;
 };
 
@@ -53,14 +60,14 @@ class SpectralConv1d final : public Module {
   std::vector<Param*> parameters() override { return {&w_}; }
 
  private:
-  Tensor run_forward(const Tensor& x, std::vector<maps::math::CplxGrid>& x_hat) const;
+  Tensor run_forward(const Tensor& x, std::vector<float>& x_hat) const;
 
   index_t c_in_, c_out_, m_;
   FftAxis axis_;
   std::string tag_;
   // (2 blocks, c_in, c_out, m, 2[re/im])
   Param w_;
-  std::vector<maps::math::CplxGrid> x_hat_;
+  std::vector<float> x_hat_;
   std::vector<index_t> in_shape_;
 };
 

@@ -1,7 +1,7 @@
 // MicroBatcher: dynamic request coalescing for surrogate inference.
 //
 // Serving traffic arrives one request at a time, but the NN substrate is at
-// its best on batches (one stacked GEMM/FFT forward, one dispatch). The
+// its best on batches (one stacked GEMM forward, one dispatch). The
 // batcher queues encoded single-sample inputs and flushes a batch when
 // either trigger fires:
 //

@@ -2,6 +2,8 @@
 // round-trip stability, and accessor error behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "io/json.hpp"
 
 namespace mio = maps::io;
@@ -46,6 +48,35 @@ TEST(Json, RejectsMalformedDocuments) {
         "\"unterminated", "{\"a\":1,}", "[1 2]", "nullx", "{\"a\":1} extra",
         "\"bad\\q\"", "\"\\u12G4\"", "{\"dup\":1,\"dup\":2}", "\"\\ud800\""}) {
     EXPECT_THROW(mio::json_parse(bad), maps::MapsError) << "input: " << bad;
+  }
+}
+
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  const auto nested = [](int depth, char open, char close) {
+    std::string s;
+    for (int k = 0; k < depth; ++k) s += open == '[' ? "[" : "{\"k\":";
+    s += "1";
+    s.append(static_cast<std::size_t>(depth), close);
+    return s;
+  };
+  const auto deepest = mio::json_parse(nested(mio::kMaxJsonDepth, '[', ']'));
+  EXPECT_EQ(deepest.size(), 1u);
+  EXPECT_NO_THROW(mio::json_parse(nested(mio::kMaxJsonDepth, '{', '}')));
+  EXPECT_THROW(mio::json_parse(nested(mio::kMaxJsonDepth + 1, '[', ']')),
+               maps::MapsError);
+  EXPECT_THROW(mio::json_parse(nested(mio::kMaxJsonDepth + 1, '{', '}')),
+               maps::MapsError);
+  // The capped parser still accepts wide documents at any depth below it.
+  EXPECT_EQ(mio::json_parse("[[1,[2]],[3],{\"a\":[4]}]").size(), 3u);
+}
+
+TEST(Json, DeepBracketFloodThrowsInsteadOfOverflowingTheStack) {
+  const std::string flood(200 * 1024, '[');
+  try {
+    mio::json_parse(flood);
+    FAIL() << "expected a nesting error";
+  } catch (const maps::MapsError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos) << e.what();
   }
 }
 

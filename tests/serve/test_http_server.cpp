@@ -406,6 +406,28 @@ TEST(HttpServe, MalformedRequestLineIs400ThenClose) {
   EXPECT_TRUE(client.at_eof());
 }
 
+TEST(HttpServe, DeeplyNestedPredictBodyIs400AndServerStaysUp) {
+  FaultGuard guard("");
+  HttpHarness h(small_options());
+  HttpClient client(h.port.load());
+  ASSERT_GE(client.fd, 0);
+
+  // 200 KB of '[' once overflowed the recursive JSON parser's stack.
+  ASSERT_TRUE(client.send_raw(
+      http_request("POST", "/v1/predict", std::string(200 * 1024, '['))));
+  HttpReply reply;
+  ASSERT_TRUE(client.read_reply(reply));
+  EXPECT_EQ(reply.status, 400);
+  const auto doc = io::json_parse(reply.body);
+  EXPECT_FALSE(doc.at("ok").as_bool());
+  EXPECT_EQ(doc.at("error").at("code").as_string(), "bad_request");
+
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/healthz")));
+  ASSERT_TRUE(client.read_reply(reply));
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_TRUE(io::json_parse(reply.body).has("status"));
+}
+
 TEST(HttpServe, SlowLorisPartialHeaderDoesNotStallSiblings) {
   FaultGuard guard("");
   HttpHarness h(small_options());

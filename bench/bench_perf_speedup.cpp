@@ -173,7 +173,9 @@ BENCHMARK(BM_FdfdWavelengthSweepCached)->Arg(64)->Unit(benchmark::kMillisecond);
 
 static void BM_FdfdCoarseGridSolve(benchmark::State& state) {
   // The Low-fidelity path: restrict, solve on the half-resolution grid,
-  // prolongate (~8x cheaper LU at matched physics).
+  // prolongate (~8x cheaper LU at matched physics). The ratio of
+  // BM_FdfdFullSolve to this is the fidelity axis's cost ordering the CI
+  // perf gate tracks as fdfd_coarse_vs_full.
   const index_t n = state.range(0);
   const auto eps = random_eps(n);
   grid::GridSpec spec{n, n, 6.4 / static_cast<double>(n)};
@@ -321,21 +323,13 @@ BENCHMARK(BM_TeSolveInterleaved)->Arg(64)->Unit(benchmark::kMillisecond);
 
 namespace {
 
-// --------------------------------------------------------- serve throughput
+// ------------------------------------------------------------ serve query
 //
-// BM_ServeThroughput pair: the same stream of distinct surrogate queries
-// served (a) strictly one request at a time — the only mode the stateful
-// training forward() supported before the serving layer existed — and (b)
-// through the micro-batcher on 4 TaskQueue workers. The ratio of the two
-// real_times is the serving win (request-dispatch amortization + batched
-// const inference + worker parallelism) measured within one run, which is
-// what the CI perf gate tracks as serve_batched_vs_unbatched. The result
-// cache is disabled in both so the comparison is pure model inference. Every
-// serve bench runs the model `maps_cli serve` installs (the nn::ModelConfig
-// defaults) on 64x64 grids, so they time the forward production serves.
+// Every serve bench runs the model `maps_cli serve` installs (the
+// nn::ModelConfig defaults) on a 64x64 grid, so they time the forward
+// production serves.
 
 constexpr index_t kServeGrid = 64;
-constexpr int kServeRequests = 64;
 
 std::shared_ptr<maps::serve::ModelRegistry> serve_registry() {
   const nn::ModelConfig mcfg;
@@ -344,72 +338,25 @@ std::shared_ptr<maps::serve::ModelRegistry> serve_registry() {
   return registry;
 }
 
-std::vector<maps::serve::ServeRequest> serve_requests() {
-  std::vector<maps::serve::ServeRequest> reqs;
-  reqs.reserve(kServeRequests);
+maps::serve::ServeRequest serve_request() {
   const index_t n = kServeGrid;
   grid::GridSpec spec{n, n, 6.4 / static_cast<double>(n)};
   math::Rng rng(29);
-  for (int k = 0; k < kServeRequests; ++k) {
-    maps::serve::ServeRequest req;
-    req.spec = spec;
-    // Distinct pattern per request: no two queries share a cache key.
-    math::RealGrid eps(n, n, 2.07);
-    for (index_t j = n / 3; j < 2 * n / 3; ++j) {
-      for (index_t i = n / 3; i < 2 * n / 3; ++i) {
-        eps(i, j) = 2.07 + 10.0 * rng.uniform();
-      }
-    }
-    req.eps = std::move(eps);
-    req.J = fdfd::point_source(spec, n / 4 + (k % 8), n / 2);
-    req.omega = omega_of_wavelength(1.55);
-    req.pml.ncells = static_cast<int>(n / 8);
-    req.fidelity = solver::FidelityLevel::Low;
-    reqs.push_back(std::move(req));
-  }
-  return reqs;
-}
-
-}  // namespace
-
-static void BM_ServeOneAtATime(benchmark::State& state) {
-  const auto registry = serve_registry();
-  const auto requests = serve_requests();
-  maps::serve::ServeOptions options;
-  options.max_batch = 1;  // no coalescing: each request is its own forward
-  options.max_delay_ms = 0.0;
-  options.workers = 1;
-  options.cache_capacity = 0;
-  maps::serve::PredictionService service(registry, options);
-  for (auto _ : state) {
-    for (const auto& req : requests) {
-      benchmark::DoNotOptimize(service.predict(req));
+  maps::serve::ServeRequest req;
+  req.spec = spec;
+  math::RealGrid eps(n, n, 2.07);
+  for (index_t j = n / 3; j < 2 * n / 3; ++j) {
+    for (index_t i = n / 3; i < 2 * n / 3; ++i) {
+      eps(i, j) = 2.07 + 10.0 * rng.uniform();
     }
   }
-  state.SetItemsProcessed(state.iterations() * kServeRequests);
+  req.eps = std::move(eps);
+  req.J = fdfd::point_source(spec, n / 4, n / 2);
+  req.omega = omega_of_wavelength(1.55);
+  req.pml.ncells = static_cast<int>(n / 8);
+  req.fidelity = solver::FidelityLevel::Low;
+  return req;
 }
-BENCHMARK(BM_ServeOneAtATime)->Unit(benchmark::kMillisecond);
-
-static void BM_ServeMicroBatched(benchmark::State& state) {
-  const auto registry = serve_registry();
-  const auto requests = serve_requests();
-  maps::serve::ServeOptions options;
-  options.max_batch = 32;
-  options.max_delay_ms = 2.0;
-  options.workers = 4;
-  options.cache_capacity = 0;
-  maps::serve::PredictionService service(registry, options);
-  for (auto _ : state) {
-    std::vector<maps::runtime::Future<maps::serve::ServeResponse>> futures;
-    futures.reserve(requests.size());
-    for (const auto& req : requests) futures.push_back(service.submit(req));
-    for (auto& f : futures) benchmark::DoNotOptimize(f.get());
-  }
-  state.SetItemsProcessed(state.iterations() * kServeRequests);
-}
-BENCHMARK(BM_ServeMicroBatched)->Unit(benchmark::kMillisecond);
-
-namespace {
 
 // ----------------------------------------------------- stampede coalescing
 //
@@ -433,8 +380,6 @@ double run_stampede_wave(maps::serve::PredictionService& service,
 
 maps::serve::ServeOptions stampede_options(bool coalesce) {
   maps::serve::ServeOptions options;
-  options.max_batch = 8;
-  options.max_delay_ms = 2.0;
   options.workers = 2;
   options.cache_capacity = 0;  // every wave is a cold-cache stampede
   options.coalesce = coalesce;
@@ -445,7 +390,7 @@ maps::serve::ServeOptions stampede_options(bool coalesce) {
 
 static void BM_ServeStampede(benchmark::State& state) {
   const auto registry = serve_registry();
-  const auto req = serve_requests().front();
+  const auto req = serve_request();
   maps::serve::PredictionService service(registry, stampede_options(false));
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_stampede_wave(service, req));
@@ -456,7 +401,7 @@ BENCHMARK(BM_ServeStampede)->Unit(benchmark::kMillisecond);
 
 static void BM_ServeStampedeCoalesced(benchmark::State& state) {
   const auto registry = serve_registry();
-  const auto req = serve_requests().front();
+  const auto req = serve_request();
   maps::serve::PredictionService service(registry, stampede_options(true));
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_stampede_wave(service, req));
@@ -475,7 +420,7 @@ BENCHMARK(BM_ServeStampedeCoalesced)->Unit(benchmark::kMillisecond);
 static void BM_ServeObsOff(benchmark::State& state) {
   maps::obs::set_metrics_enabled(false);
   const auto registry = serve_registry();
-  const auto req = serve_requests().front();
+  const auto req = serve_request();
   maps::serve::PredictionService service(registry, stampede_options(true));
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_stampede_wave(service, req));
@@ -488,7 +433,7 @@ BENCHMARK(BM_ServeObsOff)->Unit(benchmark::kMillisecond);
 static void BM_ServeObsInstrumented(benchmark::State& state) {
   maps::obs::set_metrics_enabled(true);
   const auto registry = serve_registry();
-  const auto req = serve_requests().front();
+  const auto req = serve_request();
   maps::serve::PredictionService service(registry, stampede_options(true));
   for (auto _ : state) {
     std::vector<maps::runtime::Future<maps::serve::ServeResponse>> futures;
@@ -561,8 +506,6 @@ bool bench_read_reply(int fd, std::string& scratch) {
 static void BM_ServeHttpKeepAlive(benchmark::State& state) {
   const auto registry = serve_registry();
   maps::serve::ServeOptions options;
-  options.max_batch = 8;
-  options.max_delay_ms = 0.5;
   options.workers = 2;
   options.cache_capacity = 64;  // repeats are cache hits: front-end cost only
   maps::serve::PredictionService service(registry, options);
@@ -584,7 +527,7 @@ static void BM_ServeHttpKeepAlive(benchmark::State& state) {
        << ", \"dl\": " << (6.4 / static_cast<double>(kServeGrid))
        << ", \"return_field\": false, \"eps\": [";
   {
-    const auto req = serve_requests().front();
+    const auto req = serve_request();
     for (index_t n = 0; n < req.eps.size(); ++n) {
       body << (n == 0 ? "" : ",") << req.eps[n];
     }

@@ -383,8 +383,6 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   cfg.std_overrides.lambda_ref = std_override("std_lambda_ref");
   cfg.std_overrides.apply(cfg.standardizer);
 
-  cfg.serve.max_batch = r.integer("max_batch", cfg.serve.max_batch);
-  cfg.serve.max_delay_ms = r.number("max_delay_ms", cfg.serve.max_delay_ms);
   // The size_t knobs reject negatives before the cast — a config with
   // "workers": -1 must be a clean error, not a 2^64-thread TaskQueue.
   const auto non_negative = [](int v, const char* what) {
@@ -466,10 +464,6 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   (void)obs::parse_log_format(cfg.log_format);
 
   (void)solver::fidelity_from_name(cfg.fidelity);  // validate the spelling
-  if (cfg.serve.max_batch < 1) throw MapsError("serve: max_batch must be >= 1");
-  if (cfg.serve.max_delay_ms < 0.0) {
-    throw MapsError("serve: max_delay_ms must be >= 0");
-  }
   if (cfg.serve.cache_shards < 1) throw MapsError("serve: cache_shards must be >= 1");
   if (cfg.port < 0 || cfg.port > 65535) {
     throw MapsError("serve: port must be in [0, 65535]");
@@ -532,8 +526,6 @@ JsonValue ServeConfig::to_json() const {
   v["std_field_scale"] = standardizer.field_scale;
   v["std_j_scale"] = standardizer.j_scale;
   v["std_lambda_ref"] = standardizer.lambda_ref;
-  v["max_batch"] = serve.max_batch;
-  v["max_delay_ms"] = serve.max_delay_ms;
   v["workers"] = static_cast<int>(serve.workers);
   v["cache_capacity"] = static_cast<int>(serve.cache_capacity);
   v["cache_shards"] = static_cast<int>(serve.cache_shards);

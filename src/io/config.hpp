@@ -97,10 +97,9 @@ struct TrainConfig {
 /// (src/serve/). "model"/"width"/"modes"/"depth" describe the architecture,
 /// "checkpoint" the trainer-saved parameter file (empty = fresh random
 /// weights, a dev mode), and the "standardizer" block carries the training
-/// normalization constants the input encoder needs. "max_batch" /
-/// "max_delay_ms" tune the micro-batcher, "cache_capacity"/"cache_shards"
-/// the result cache, "workers" the inference worker pool (0 = shared
-/// queue), "port" selects TCP mode (0 = stdin/stdout), and
+/// normalization constants the input encoder needs. "cache_capacity" /
+/// "cache_shards" size the result cache, "workers" the inference worker pool
+/// (0 = shared queue), "port" selects TCP mode (0 = stdin/stdout), and
 /// "escalate_rms_factor" arms the low-confidence solver escalation screen.
 struct ServeConfig {
   nn::ModelConfig model;

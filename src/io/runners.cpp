@@ -396,9 +396,7 @@ JsonValue run_serve(const ServeConfig& config, std::istream& in, std::ostream& o
   const auto defaults = config.wire_defaults();
   {
     std::ostringstream msg;
-    msg << "max_batch=" << config.serve.max_batch
-        << " max_delay_ms=" << config.serve.max_delay_ms
-        << " cache=" << config.serve.cache_capacity << "x"
+    msg << "cache=" << config.serve.cache_capacity << "x"
         << config.serve.cache_shards << " workers=" << config.serve.workers
         << " fidelity_default=" << config.fidelity;
     obs::log_to(&log, obs::LogLevel::Info, "serve", msg.str());

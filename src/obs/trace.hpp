@@ -9,8 +9,8 @@
 //
 // Two recording styles:
 //   * plumbed  — the serve layer threads `obs::TracePtr` through
-//     ServeRequest / BatchJob / coalescing waiters and calls add_span
-//     (or ScopedSpan) at stage boundaries;
+//     ServeRequest / the surrogate task / coalescing waiters and calls
+//     add_span (or ScopedSpan) at stage boundaries;
 //   * ambient  — deep code with no trace parameter (DirectBandedBackend
 //     factorize/solve/refine) records against the thread-local
 //     current_trace(), installed by TraceScope on the worker thread that

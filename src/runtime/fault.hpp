@@ -28,13 +28,13 @@
 //                                deterministic LCG seeded with S (default 1)
 //
 // Example: MAPS_FAULTS="solver.factorize=throw@nth:3;journal.append=io@every:5;
-// batcher.run_batch=stall:20@p:0.1,seed:7". Counters (hits, fires) are kept
+// surrogate.forward=stall:20@p:0.1,seed:7". Counters (hits, fires) are kept
 // per point and surfaced through `stats()` — the serve wire layer reports
 // them in the ServeStats JSON so a chaos run can prove each armed fault
 // actually fired.
 //
 // Registered point names in this repo: solver.factorize, solver.solve,
-// solver.iterative, batcher.run_batch, registry.load, journal.append,
+// solver.iterative, surrogate.forward, registry.load, journal.append,
 // journal.compact, manifest.save, serve.tcp.read, serve.tcp.write,
 // http.read, http.write, coalesce.attach, jobs.step, jobs.journal.
 #pragma once

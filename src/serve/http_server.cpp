@@ -133,8 +133,6 @@ class HttpServer {
     limits_.max_body_bytes = options_.stream.max_request_bytes > 0
                                  ? options_.stream.max_request_bytes
                                  : std::numeric_limits<std::size_t>::max();
-    window_ = std::max<std::size_t>(
-        64, 4 * static_cast<std::size_t>(service_.options().max_batch));
     if (options_.stream.conn_max_inflight > 0) {
       window_ = std::max<std::size_t>(
           1, std::min(window_, options_.stream.conn_max_inflight));
@@ -824,7 +822,7 @@ class HttpServer {
   obs::Histogram* hist_parse_ms_;
   net::EventLoop loop_;
   net::HttpLimits limits_;
-  std::size_t window_ = 64;
+  std::size_t window_ = kDefaultConnMaxInflight;
   int listener_fd_ = -1;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
   bool draining_ = false;

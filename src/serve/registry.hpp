@@ -5,7 +5,7 @@
 // input-encoding options and the dataset standardizer constants fitted at
 // training time. Publication is a shared_ptr swap under a read-mostly lock:
 // readers snapshot the active bundle in O(1) and keep serving it even while
-// an operator hot-swaps a new checkpoint in, so in-flight batches never see
+// an operator hot-swaps a new checkpoint in, so in-flight requests never see
 // a half-loaded model (no torn reads). Every install bumps a monotone
 // version, which the result cache folds into its keys — stale predictions
 // from a replaced model can never answer for the new one.

@@ -79,12 +79,8 @@ StreamServeReport serve_stream(PredictionService& service,
   const auto stopping = [&options] {
     return options.stop != nullptr && options.stop->load();
   };
-  // Enough in-flight replies to keep full batches forming, bounded so a
-  // streaming client cannot queue unbounded field buffers. The configured
-  // per-connection cap tightens it further.
-  std::size_t window =
-      std::max<std::size_t>(64, 4 * static_cast<std::size_t>(
-                                        service.options().max_batch));
+  // The configured per-connection cap tightens the default window.
+  std::size_t window = kDefaultConnMaxInflight;
   if (options.conn_max_inflight > 0) {
     window = std::max<std::size_t>(1, std::min(window, options.conn_max_inflight));
   }

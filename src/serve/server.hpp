@@ -2,10 +2,10 @@
 //
 // serve_stream is pipelined: a reader parses request lines and submits them
 // to the service immediately, while a writer thread emits replies in request
-// order — so a client that streams many lines before reading replies gets
-// the full benefit of the micro-batcher. The in-flight window is bounded
-// (backpressure: the reader parks when the reply queue is full). EOF drains
-// everything and returns.
+// order — so a client that streams many lines before reading replies keeps
+// every worker busy. The in-flight window is bounded (backpressure: the
+// reader parks when the reply queue is full). EOF drains everything and
+// returns.
 //
 // serve_tcp accepts connections on a loopback-bound listening socket and
 // runs the same line loop per connection (one thread each, connections
@@ -21,6 +21,11 @@
 
 namespace maps::serve {
 
+/// Default per-connection in-flight reply window of the stream and HTTP
+/// front ends: enough pipelined requests to keep every worker busy, bounded
+/// so a streaming client cannot queue unbounded field buffers.
+inline constexpr std::size_t kDefaultConnMaxInflight = 128;
+
 struct StreamServeReport {
   std::size_t requests = 0;
   std::size_t errors = 0;  // malformed lines / failed predictions
@@ -33,7 +38,7 @@ struct StreamOptions {
   /// unaffected). 0 = unlimited.
   std::size_t max_request_bytes = 8ull << 20;
   /// Per-connection in-flight reply cap (reader backpressure window);
-  /// 0 = the default window, max(64, 4 * max_batch).
+  /// 0 = kDefaultConnMaxInflight.
   std::size_t conn_max_inflight = 0;
   /// Graceful-shutdown flag. When it flips true the reader stops consuming
   /// lines and the writer drains already-submitted replies, bounded by

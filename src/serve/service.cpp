@@ -24,6 +24,10 @@ std::uint64_t fnv_mix(std::uint64_t h, const void* data, std::size_t bytes) {
   return h;
 }
 
+// Service time the admission estimate assumes until the first request
+// completes.
+constexpr double kColdServiceMs = 3.0;
+
 nn::Tensor encode_request(const ServeRequest& request, const ServedModel& model) {
   nn::Tensor input = maps::train::make_input_batch(1, request.spec.nx,
                                                    request.spec.ny, model.encoding);
@@ -81,13 +85,10 @@ PredictionService::PredictionService(std::shared_ptr<ModelRegistry> registry,
   bropt.backoff_max_ms = options_.breaker_backoff_max_ms;
   bropt.half_open_probes = options_.breaker_half_open_probes;
   breaker_ = std::make_unique<CircuitBreaker>(bropt);
-  BatcherOptions bopt;
-  bopt.max_batch = options_.max_batch;
-  bopt.max_delay_ms = options_.max_delay_ms;
-  bopt.queue = queue_;
-  batcher_ = std::make_unique<MicroBatcher>(bopt);
   hist_total_ms_ = &obs::registry().histogram("serve.request.total_ms");
   hist_cache_lookup_ms_ = &obs::registry().histogram("serve.cache.lookup_ms");
+  hist_queue_ms_ = &obs::registry().histogram("serve.batch.queue_ms");
+  hist_forward_ms_ = &obs::registry().histogram("serve.surrogate.forward_ms");
   slow_request_ms_ = options_.slow_request_ms;
   if (const char* env = std::getenv("MAPS_SLOW_REQUEST_MS");
       env != nullptr && *env != '\0') {
@@ -96,10 +97,9 @@ PredictionService::PredictionService(std::shared_ptr<ModelRegistry> registry,
 }
 
 PredictionService::~PredictionService() {
-  // Order matters: the batcher drains its surrogate batches first (their
-  // callbacks touch the cache and counters), then we wait out the directly
-  // submitted solver jobs before any member is torn down.
-  batcher_.reset();
+  // Every queued surrogate and solver task holds an inflight slot until its
+  // finish()/fail(), which is its last touch of this object: wait them out
+  // before any member is torn down.
   while (inflight_.load() != 0) std::this_thread::yield();
 }
 
@@ -216,11 +216,13 @@ runtime::Future<ServeResponse> PredictionService::submit(ServeRequest request) {
       return future;
     }
 
-    surrogate_requests_.fetch_add(1);
     lead_pending(key);
     leading = true;
+    // Counted after the pending slot exists: a caller that observes the
+    // count can rely on identical queries attaching.
+    surrogate_requests_.fetch_add(1);
     // The promise is passed by copy (shared state), not moved: if
-    // answer_surrogate throws before the job is queued, the catch below
+    // answer_surrogate throws before the task is queued, the catch below
     // still holds a live promise to carry the error to the caller.
     answer_surrogate(std::make_shared<const ServeRequest>(std::move(request)),
                      model, key, promise, start, deadline_abs, /*degraded=*/false);
@@ -254,10 +256,9 @@ void PredictionService::admit(const ServeRequest& request) {
 
 double PredictionService::backlog_estimate_ms() const {
   // Queue-theory-lite: (waiting ahead of you) / workers * average service
-  // time. Before any request completes, fall back to the batch window as
-  // the only latency scale the service knows.
+  // time.
   const std::uint64_t done = completed_.load();
-  double avg = options_.max_delay_ms + 1.0;
+  double avg = kColdServiceMs;
   if (done > 0) {
     std::lock_guard lk(latency_mu_);
     avg = total_latency_ms_ / static_cast<double>(done);
@@ -273,31 +274,52 @@ void PredictionService::answer_surrogate(
     const std::shared_ptr<const ServedModel>& model, const QueryKey& key,
     runtime::Promise<ServeResponse> promise, double start_ms,
     double deadline_abs_ms, bool degraded) {
-  BatchJob job;
-  job.input = encode_request(*request, *model);
-  job.model = model;
-  job.trace = request->trace;
-  // The request rides along as a shared_ptr: the callback only needs it for
-  // the escalation fallback, and sharing one buffer avoids deep-copying the
-  // eps/J grids into every queued job.
-  job.done = [this, request = std::move(request), model, key, promise, start_ms,
-              deadline_abs_ms, degraded](nn::Tensor output,
-                                         std::exception_ptr error) mutable {
+  nn::Tensor input = encode_request(*request, *model);
+  const double enqueued_ms = runtime::now_steady_ms();
+  // The task pins `model`, the snapshot the input was encoded for (inputs
+  // are standardizer-specific). The request rides along as a shared_ptr:
+  // the task only needs it for escalation, and sharing one buffer avoids
+  // deep-copying the eps/J grids.
+  (void)queue_->submit([this, request = std::move(request), input = std::move(input),
+                        model, key, promise, start_ms, enqueued_ms, deadline_abs_ms,
+                        degraded]() mutable -> int {
+    const obs::TracePtr& trace = request->trace;
+    const bool timed = obs::metrics_enabled() || trace != nullptr;
+    const double run_start = timed ? runtime::now_steady_ms() : 0.0;
+    if (timed) {
+      if (obs::metrics_enabled()) hist_queue_ms_->record(run_start - enqueued_ms);
+      if (trace != nullptr) trace->add_span("batch.queue", enqueued_ms, run_start);
+    }
+    nn::Tensor output;
+    std::exception_ptr error;
+    try {
+      // Chaos hook: MAPS_FAULTS "surrogate.forward" breaks or stalls the
+      // forward, so an injected throw takes the same retry path as a real
+      // inference failure.
+      runtime::fault::point("surrogate.forward");
+      output = model->model->infer(input);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    if (timed) {
+      const double run_end = runtime::now_steady_ms();
+      if (obs::metrics_enabled()) hist_forward_ms_->record(run_end - run_start);
+      if (trace != nullptr) trace->add_span("surrogate.forward", run_start, run_end);
+    }
     try {
       // Queue hand-off deadline check: the reply is late no matter what the
-      // batch produced, so don't spend decode/screen/escalation on it.
+      // forward produced, so don't spend decode/screen/escalation on it.
       if (deadline_abs_ms > 0.0 && runtime::now_steady_ms() >= deadline_abs_ms) {
         throw runtime::DeadlineExceeded(
-            "PredictionService: deadline exceeded in the batch queue");
+            "PredictionService: deadline exceeded in the surrogate queue");
       }
       if (error != nullptr) {
-        // The batched forward failed (or a chaos fault fired inside it).
-        // A single-sample retry re-runs this request alone through the same
-        // encode + infer, which is bit-identical to its batched row — a
-        // transient batch failure stays invisible to the caller.
+        // The forward failed (or a chaos fault fired before it). One retry
+        // re-runs the same infer, so a transient failure stays invisible to
+        // the caller.
         surrogate_retries_.fetch_add(1);
         try {
-          output = model->model->infer(encode_request(*request, *model));
+          output = model->model->infer(input);
           error = nullptr;
         } catch (...) {
           // Surrogate tier is down for this request; fail over to the
@@ -309,8 +331,8 @@ void PredictionService::answer_surrogate(
             solved.model_version = model->version;
             cache_.put(key,
                        std::make_shared<CachedResult>(CachedResult{solved.Ez, true}));
-            finish(promise, std::move(solved), start_ms, &key, request->trace);
-            return;
+            finish(promise, std::move(solved), start_ms, &key, trace);
+            return 0;
           }
           std::rethrow_exception(error);
         }
@@ -328,8 +350,8 @@ void PredictionService::answer_surrogate(
         // solver should re-answer the next identical query at full grade.
         response.degraded = true;
         degraded_served_.fetch_add(1);
-        finish(promise, std::move(response), start_ms, &key, request->trace);
-        return;
+        finish(promise, std::move(response), start_ms, &key, trace);
+        return 0;
       }
 
       // Confidence screen: a non-finite field always escalates; a field
@@ -357,8 +379,8 @@ void PredictionService::answer_surrogate(
           // answer. Degrade instead of escalating.
           response.degraded = true;
           degraded_served_.fetch_add(1);
-          finish(promise, std::move(response), start_ms, &key, request->trace);
-          return;
+          finish(promise, std::move(response), start_ms, &key, trace);
+          return 0;
         }
         try {
           ServeResponse solved = solve_guarded(*request, deadline_abs_ms);
@@ -367,7 +389,7 @@ void PredictionService::answer_surrogate(
           solved.escalated = true;
           cache_.put(key,
                      std::make_shared<CachedResult>(CachedResult{solved.Ez, true}));
-          finish(promise, std::move(solved), start_ms, &key, request->trace);
+          finish(promise, std::move(solved), start_ms, &key, trace);
         } catch (const runtime::DeadlineExceeded&) {
           throw;  // the reply is late either way: report the blown budget
         } catch (...) {
@@ -375,17 +397,17 @@ void PredictionService::answer_surrogate(
           // solve_guarded): degrade to the suspect surrogate answer.
           response.degraded = true;
           degraded_served_.fetch_add(1);
-          finish(promise, std::move(response), start_ms, &key, request->trace);
+          finish(promise, std::move(response), start_ms, &key, trace);
         }
-        return;
+        return 0;
       }
       cache_.put(key, std::make_shared<CachedResult>(CachedResult{response.Ez, false}));
-      finish(promise, std::move(response), start_ms, &key, request->trace);
+      finish(promise, std::move(response), start_ms, &key, trace);
     } catch (...) {
-      fail(promise, std::current_exception(), &key, request->trace);
+      fail(promise, std::current_exception(), &key, trace);
     }
-  };
-  batcher_->submit(std::move(job));
+    return 0;
+  });
 }
 
 ServeResponse PredictionService::solve_guarded(const ServeRequest& request,
@@ -564,7 +586,6 @@ ServeStatsSnapshot PredictionService::stats() const {
     s.total_latency_ms = total_latency_ms_;
     s.max_latency_ms = max_latency_ms_;
   }
-  s.batcher = batcher_->stats();
   s.cache = cache_.stats();
   return s;
 }

@@ -6,9 +6,10 @@
 //   1. ResultCache     sharded LRU keyed on (pattern digest, omega,
 //                      fidelity, model version) — repeat queries cost a hash
 //                      lookup, the model never re-runs;
-//   2. MicroBatcher    misses at surrogate fidelity queue for a dynamically
-//                      coalesced batched Module::infer on TaskQueue workers
-//                      (flush on max_batch or the max_delay deadline);
+//   2. Surrogate       each miss at surrogate fidelity is one task on the
+//                      service's TaskQueue: a single-sample Module::infer on
+//                      the model snapshot taken at submit time (a hot-swap
+//                      never retargets a queued request);
 //   3. Escalation      `fidelity: high` requests — and surrogate outputs that
 //                      fail the confidence screen — run through
 //                      solver::SolverBackend via fdfd::Simulation, sharing
@@ -25,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,7 +39,6 @@
 #include "runtime/deadline.hpp"
 #include "runtime/future.hpp"
 #include "runtime/task_queue.hpp"
-#include "serve/batcher.hpp"
 #include "serve/breaker.hpp"
 #include "serve/registry.hpp"
 #include "serve/result_cache.hpp"
@@ -57,7 +58,7 @@ struct ServeRequest {
   /// runtime::DeadlineExceeded ("deadline_exceeded" on the wire).
   double deadline_ms = 0.0;
   /// Trace context created at ingress (null = untraced). The pipeline
-  /// records per-stage spans into it (cache lookup, batch queue, surrogate
+  /// records per-stage spans into it (cache lookup, queue wait, surrogate
   /// forward, solver factorize/solve) and the terminal finish()/fail()
   /// emits the span tree as one NDJSON line when the request ran longer
   /// than ServeOptions::slow_request_ms.
@@ -102,10 +103,7 @@ struct ServeResponse {
 };
 
 struct ServeOptions {
-  // Micro-batching.
-  int max_batch = 32;
-  double max_delay_ms = 2.0;
-  /// Workers for batched inference and escalation solves; 0 = the shared
+  /// Workers for surrogate forwards and escalation solves; 0 = the shared
   /// process-wide TaskQueue.
   std::size_t workers = 0;
 
@@ -171,7 +169,7 @@ struct ServeStatsSnapshot {
   std::uint64_t shed = 0;               // rejected by admission control
   std::uint64_t deadline_exceeded = 0;  // failed their latency budget
   std::uint64_t degraded_served = 0;    // un-verified surrogate fallbacks
-  std::uint64_t surrogate_retries = 0;  // single-sample retries after batch failure
+  std::uint64_t surrogate_retries = 0;  // forwards re-run after a failed first attempt
   std::uint64_t solver_failovers = 0;   // surrogate failures answered by the solver
   std::uint64_t coalesced = 0;          // attached to an identical in-flight query
   std::uint64_t completed = 0;          // requests that produced an answer
@@ -183,7 +181,6 @@ struct ServeStatsSnapshot {
   std::uint64_t solver_refine_fallbacks = 0;
   double total_latency_ms = 0.0;
   double max_latency_ms = 0.0;
-  BatcherStats batcher;
   ResultCacheStats cache;
 
   double avg_latency_ms() const {
@@ -283,6 +280,9 @@ class PredictionService {
   /// solve_high under the request's deadline guard and the circuit breaker's
   /// failure accounting.
   ServeResponse solve_guarded(const ServeRequest& request, double deadline_abs_ms);
+  /// Encodes the request for `model` and queues one task that runs the
+  /// forward, then decodes, screens, escalates or degrades, and ends in
+  /// finish() or fail(). Throws only when encoding or the enqueue fails.
   void answer_surrogate(std::shared_ptr<const ServeRequest> request,
                         const std::shared_ptr<const ServedModel>& model,
                         const QueryKey& key, runtime::Promise<ServeResponse> promise,
@@ -295,11 +295,12 @@ class PredictionService {
   ResultCache cache_;
   std::shared_ptr<solver::FactorizationCache> solver_cache_;
   std::unique_ptr<CircuitBreaker> breaker_;
-  std::unique_ptr<MicroBatcher> batcher_;
   /// Cached registry refs (stable for the process lifetime) so the hot
   /// path never touches the registry map.
   obs::Histogram* hist_total_ms_ = nullptr;
   obs::Histogram* hist_cache_lookup_ms_ = nullptr;
+  obs::Histogram* hist_queue_ms_ = nullptr;
+  obs::Histogram* hist_forward_ms_ = nullptr;
   double slow_request_ms_ = -1.0;
 
   std::atomic<std::uint64_t> requests_{0};

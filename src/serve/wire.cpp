@@ -237,11 +237,6 @@ JsonValue stats_to_json(const ServeStatsSnapshot& stats,
       static_cast<double>(stats.solver_refine_iterations);
   v["solver_refine_fallbacks"] =
       static_cast<double>(stats.solver_refine_fallbacks);
-  v["batches"] = static_cast<double>(stats.batcher.batches);
-  v["avg_batch"] = stats.batcher.avg_batch();
-  v["max_batch_seen"] = static_cast<double>(stats.batcher.max_batch_seen);
-  v["full_flushes"] = static_cast<double>(stats.batcher.full_flushes);
-  v["deadline_flushes"] = static_cast<double>(stats.batcher.deadline_flushes);
   v["avg_latency_ms"] = stats.avg_latency_ms();
   v["max_latency_ms"] = stats.max_latency_ms;
   // Reliability counters.
@@ -337,9 +332,6 @@ std::string metrics_text(const PredictionService& service,
   counter("maps_serve_surrogate_retries_total", s.surrogate_retries);
   counter("maps_serve_solver_failovers_total", s.solver_failovers);
   counter("maps_serve_coalesced_total", s.coalesced);
-  counter("maps_serve_batches_total", s.batcher.batches);
-  counter("maps_serve_batch_full_flushes_total", s.batcher.full_flushes);
-  counter("maps_serve_batch_deadline_flushes_total", s.batcher.deadline_flushes);
   counter("maps_solver_refine_iterations_total", s.solver_refine_iterations);
   counter("maps_solver_refine_fallbacks_total", s.solver_refine_fallbacks);
   gauge("maps_serve_cache_entries", static_cast<double>(s.cache.entries));

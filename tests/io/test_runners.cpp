@@ -101,8 +101,6 @@ TEST(Runners, ServeAnswersTrainerCheckpointOverStdio) {
   cfg.model = mcfg;
   cfg.model.seed = 9;  // weights must come from the checkpoint
   cfg.checkpoint = ckpt;
-  cfg.serve.max_batch = 4;
-  cfg.serve.max_delay_ms = 1.0;
   cfg.serve.workers = 1;
   cfg.pml.ncells = 3;
 

@@ -3,12 +3,12 @@
 // one shared model instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
 
 #include "math/rng.hpp"
-#include "nn/infer.hpp"
 #include "nn/models.hpp"
 
 namespace {
@@ -56,28 +56,24 @@ TEST(Infer, MatchesForwardBitIdenticalAcrossModels) {
 }
 
 TEST(Infer, StackedBatchMatchesPerSample) {
+  // Batch rows are independent: row k of a stacked (N, C, H, W) forward is
+  // bit-identical to sample k's own forward. Training batches rely on it.
   const auto model = nn::make_model(small_config(nn::ModelKind::Fno));
-  std::vector<nn::Tensor> inputs;
-  for (unsigned k = 0; k < 5; ++k) {
-    inputs.push_back(random_input({1, 4, 16, 16}, 100 + k));
-  }
-  const auto batched = nn::infer_batch(*model, inputs);
-  ASSERT_EQ(batched.size(), inputs.size());
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    const nn::Tensor single = model->infer(inputs[k]);
-    EXPECT_TRUE(bit_identical(batched[k], single)) << "sample " << k;
-  }
-}
-
-TEST(Infer, StackSplitRoundTrip) {
-  std::vector<nn::Tensor> inputs;
-  for (unsigned k = 0; k < 3; ++k) inputs.push_back(random_input({1, 2, 4, 4}, k));
-  const nn::Tensor stacked = nn::stack_batch(inputs);
-  EXPECT_EQ(stacked.size(0), 3);
-  const auto split = nn::split_batch(stacked);
-  ASSERT_EQ(split.size(), inputs.size());
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    EXPECT_TRUE(bit_identical(split[k], inputs[k]));
+  constexpr index_t kBatch = 5;
+  const nn::Tensor stacked = random_input({kBatch, 4, 16, 16}, 100);
+  const nn::Tensor batched = model->infer(stacked);
+  const index_t in_row = stacked.numel() / kBatch;
+  const index_t out_row = batched.numel() / kBatch;
+  for (index_t k = 0; k < kBatch; ++k) {
+    nn::Tensor input({1, 4, 16, 16});
+    std::copy(stacked.data() + k * in_row, stacked.data() + (k + 1) * in_row,
+              input.data());
+    const nn::Tensor single = model->infer(input);
+    ASSERT_EQ(single.numel(), out_row);
+    EXPECT_EQ(std::memcmp(single.data(), batched.data() + k * out_row,
+                          static_cast<std::size_t>(out_row) * sizeof(float)),
+              0)
+        << "sample " << k;
   }
 }
 

@@ -69,8 +69,6 @@ std::shared_ptr<serve::ModelRegistry> tiny_registry() {
 
 serve::ServeOptions small_options() {
   serve::ServeOptions o;
-  o.max_batch = 1;
-  o.max_delay_ms = 0.5;
   o.workers = 1;
   o.cache_capacity = 0;
   return o;
@@ -310,7 +308,7 @@ TEST(HttpServe, PredictHealthzStatsRoundTrip) {
     const auto doc = io::json_parse(reply.body);
     EXPECT_GE(doc.at("requests").as_int(), 3);
     EXPECT_TRUE(doc.has("coalesced"));
-    EXPECT_TRUE(doc.has("batches"));
+    EXPECT_TRUE(doc.has("surrogate_requests"));
   }
 
   // Unknown target and wrong methods carry the structured envelope.
@@ -451,13 +449,14 @@ TEST(HttpServe, SlowLorisPartialHeaderDoesNotStallSiblings) {
 // --- coalescing --------------------------------------------------------------
 
 TEST(HttpServe, IdenticalConcurrentPredictsCoalesceToOneForward) {
-  FaultGuard guard("");
+  // The leader's forward stalls while the other clients arrive and attach.
+  FaultGuard guard("surrogate.forward=stall:300");
   serve::ServeOptions options;
-  options.workers = 1;        // serializes submits: exactly one leader
+  // Two workers: the stalled forward occupies one, the other runs the
+  // followers' parse jobs.
+  options.workers = 2;
   options.cache_capacity = 0; // every request is a cache miss
   options.coalesce = true;
-  options.max_batch = 32;
-  options.max_delay_ms = 150.0;  // flush window >> attach window
   HttpHarness h(options);
 
   constexpr int kClients = 8;
@@ -467,8 +466,17 @@ TEST(HttpServe, IdenticalConcurrentPredictsCoalesceToOneForward) {
   for (int k = 0; k < kClients; ++k) {
     clients.push_back(std::make_unique<HttpClient>(h.port.load()));
     ASSERT_GE(clients.back()->fd, 0);
-    ASSERT_TRUE(clients.back()->send_raw(wire));
   }
+  // Send the leader first and the followers only once it is dispatched, so
+  // two parse jobs cannot both become leader.
+  ASSERT_TRUE(clients.front()->send_raw(wire));
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (h.service.stats().surrogate_requests == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(h.service.stats().surrogate_requests, 1u);
+  for (int k = 1; k < kClients; ++k) ASSERT_TRUE(clients[k]->send_raw(wire));
   for (auto& client : clients) {
     HttpReply reply;
     ASSERT_TRUE(client->read_reply(reply));
@@ -480,7 +488,6 @@ TEST(HttpServe, IdenticalConcurrentPredictsCoalesceToOneForward) {
 
   const auto stats = h.service.stats();
   // One leader ran the surrogate pipeline once; everyone else attached.
-  EXPECT_EQ(stats.batcher.requests, 1u);
   EXPECT_EQ(stats.surrogate_requests, 1u);
   EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kClients - 1));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kClients));
@@ -489,10 +496,10 @@ TEST(HttpServe, IdenticalConcurrentPredictsCoalesceToOneForward) {
 // --- admission control on the HTTP surface -----------------------------------
 
 TEST(HttpServe, OverloadAnswers429WithRetryAfter) {
-  FaultGuard guard("batcher.run_batch=stall:200");
+  FaultGuard guard("surrogate.forward=stall:200");
   auto options = small_options();
   // Two workers: with one, the second request's parse job would queue
-  // behind the stalled batch flush and never race the in-flight slot.
+  // behind the stalled forward and never race the in-flight slot.
   options.workers = 2;
   options.max_inflight = 1;
   options.coalesce = false;
@@ -542,8 +549,8 @@ TEST(HttpServe, ThousandIdleKeepAliveConnectionsNoNewThreads) {
   conns.push_back(std::make_unique<HttpClient>(h.port.load()));
   ASSERT_GE(conns.back()->fd, 0);
 
-  // Warm-up predict first so every lazily-created service thread (batcher
-  // flusher, queue workers) exists before the baseline count is taken.
+  // Warm-up predict first so every lazily-created service thread (the
+  // queue workers) exists before the baseline count is taken.
   HttpReply reply;
   ASSERT_TRUE(conns.front()->send_raw(http_request(
       "POST", "/predict", predict_body(8, 2.0, ", \"return_field\": false"))));
@@ -581,7 +588,7 @@ TEST(HttpServe, ThousandIdleKeepAliveConnectionsNoNewThreads) {
 // --- graceful drain ----------------------------------------------------------
 
 TEST(HttpServe, DrainFinishesInflightRepliesThenExits) {
-  FaultGuard guard("batcher.run_batch=stall:80");
+  FaultGuard guard("surrogate.forward=stall:80");
   serve::HttpOptions http;
   http.tick_ms = 5.0;
   http.stream.drain_deadline_ms = 5000.0;
@@ -589,7 +596,7 @@ TEST(HttpServe, DrainFinishesInflightRepliesThenExits) {
   HttpClient client(h.port.load());
   ASSERT_GE(client.fd, 0);
 
-  // A reply is in flight (stalled in the batcher) when the stop flag flips.
+  // A reply is in flight (stalled in its forward) when the stop flag flips.
   ASSERT_TRUE(client.send_raw(http_request(
       "POST", "/predict", predict_body(4, 2.0, ", \"return_field\": false"))));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

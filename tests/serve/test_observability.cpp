@@ -1,5 +1,5 @@
 // Observability through the serving pipeline: trace propagation across the
-// cache / batcher / solver tiers, coalesced-waiter span adoption, the
+// cache / surrogate / solver tiers, coalesced-waiter span adoption, the
 // slow-request span-tree dump and the /stats latency block.
 #include <gtest/gtest.h>
 
@@ -104,7 +104,6 @@ struct SlowEnvGuard {
 TEST(Observability, EscalatedRequestTracesEveryTier) {
   FaultGuard guard("");
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   options.escalate_rms_factor = 1e-9;  // every surrogate answer escalates
   serve::PredictionService service(tiny_registry(), options);
@@ -127,7 +126,7 @@ TEST(Observability, EscalatedRequestTracesEveryTier) {
   ASSERT_GE(forward, 0);
   ASSERT_GE(factorize, 0);
   ASSERT_GE(solve, 0);
-  // Pipeline order: cache miss, batch wait, surrogate forward, then the
+  // Pipeline order: cache miss, queue wait, surrogate forward, then the
   // escalated solver work.
   EXPECT_LT(cache, queue);
   EXPECT_LT(queue, forward);
@@ -136,13 +135,12 @@ TEST(Observability, EscalatedRequestTracesEveryTier) {
 }
 
 TEST(Observability, CoalescedWaiterAdoptsLeaderSpans) {
-  FaultGuard guard("");
+  // The leader's forward stalls while the racers arrive and attach.
+  FaultGuard guard("surrogate.forward=stall:150@nth:1");
   serve::ServeOptions options;
   options.workers = 1;         // serializes submits: exactly one leader
   options.cache_capacity = 0;  // every request is a cache miss
   options.coalesce = true;
-  options.max_batch = 32;
-  options.max_delay_ms = 150.0;  // the leader sits in the flush window
   serve::PredictionService service(tiny_registry(), options);
 
   constexpr int kRacers = 4;
@@ -167,9 +165,8 @@ TEST(Observability, CoalescedWaiterAdoptsLeaderSpans) {
 }
 
 TEST(Observability, SlowRequestDumpsExactlyOneSpanTreeLine) {
-  FaultGuard guard("batcher.run_batch=stall:40");
+  FaultGuard guard("surrogate.forward=stall:40");
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   options.cache_capacity = 0;
   options.slow_request_ms = 20.0;  // the 40ms stall trips it
@@ -207,7 +204,6 @@ TEST(Observability, FastRequestsDoNotDump) {
   FaultGuard guard("");
   SlowEnvGuard env_guard;  // the 60 s threshold below must stay in force
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   options.slow_request_ms = 60000.0;  // armed, but nothing is that slow
   serve::PredictionService service(tiny_registry(), options);
@@ -224,7 +220,6 @@ TEST(Observability, FastRequestsDoNotDump) {
 TEST(Observability, StatsLatencyBlockGatedOnMetrics) {
   FaultGuard guard("");
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   serve::PredictionService service(tiny_registry(), options);
   service.predict(make_request(90));
@@ -249,7 +244,6 @@ TEST(Observability, StatsLatencyBlockGatedOnMetrics) {
 TEST(Observability, MetricsTextExposesServeFamilies) {
   FaultGuard guard("");
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   serve::PredictionService service(tiny_registry(), options);
   service.predict(make_request(91));

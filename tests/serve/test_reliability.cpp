@@ -94,8 +94,6 @@ bool fields_bit_identical(const math::CplxGrid& a, const math::CplxGrid& b) {
 
 serve::ServeOptions small_options() {
   serve::ServeOptions o;
-  o.max_batch = 1;
-  o.max_delay_ms = 0.5;
   o.workers = 1;
   o.cache_capacity = 0;
   return o;
@@ -105,8 +103,8 @@ serve::ServeOptions small_options() {
 
 // --- deadlines ---------------------------------------------------------------
 
-TEST(Reliability, DeadlineExceededOnStalledBatcher) {
-  FaultGuard guard("batcher.run_batch=stall:100");
+TEST(Reliability, DeadlineExceededOnStalledForward) {
+  FaultGuard guard("surrogate.forward=stall:100");
   serve::PredictionService service(tiny_registry(), small_options());
   auto req = make_request(1);
   req.deadline_ms = 25.0;
@@ -143,7 +141,7 @@ TEST(Reliability, DeadlineCutsOffStalledSolver) {
 // --- admission control -------------------------------------------------------
 
 TEST(Reliability, AdmissionShedsOverInflightLimit) {
-  FaultGuard guard("batcher.run_batch=stall:150");
+  FaultGuard guard("surrogate.forward=stall:150");
   auto options = small_options();
   options.max_inflight = 1;
   serve::PredictionService service(tiny_registry(), options);
@@ -257,7 +255,7 @@ TEST(Reliability, BreakerOpenErrorWithoutSurrogateFallback) {
 
 // --- surrogate retry ---------------------------------------------------------
 
-TEST(Reliability, SingleSampleRetryAbsorbsBatchFaults) {
+TEST(Reliability, RetryAbsorbsForwardFaults) {
   serve::PredictionService clean(tiny_registry(), small_options());
   std::vector<math::CplxGrid> expected;
   {
@@ -267,14 +265,14 @@ TEST(Reliability, SingleSampleRetryAbsorbsBatchFaults) {
     }
   }
 
-  FaultGuard guard("batcher.run_batch=throw");  // every batched forward dies
+  FaultGuard guard("surrogate.forward=throw");  // every first attempt dies
   serve::PredictionService faulted(tiny_registry(), small_options());
   for (unsigned k = 0; k < 3; ++k) {
     const auto response = faulted.predict(make_request(50 + k));
     EXPECT_EQ(response.source, serve::ResponseSource::Surrogate);
     EXPECT_FALSE(response.degraded);
-    // The per-sample retry is bit-identical to the batched forward: the
-    // injected batch failure is invisible to the caller.
+    // The retry re-runs the same forward: the injected failure is
+    // invisible to the caller.
     EXPECT_TRUE(fields_bit_identical(response.Ez, expected[k])) << "request " << k;
   }
   const auto stats = faulted.stats();
@@ -364,7 +362,7 @@ TEST(Reliability, GarbageAndTruncatedRequestsAnswerStructuredErrors) {
 }
 
 TEST(Reliability, WireDeadlineExceededReply) {
-  FaultGuard guard("batcher.run_batch=stall:100");
+  FaultGuard guard("surrogate.forward=stall:100");
   serve::PredictionService service(tiny_registry(), small_options());
   std::istringstream in(request_line(7, 2.0, ", \"deadline_ms\": 25") + "\n");
   std::ostringstream out;
@@ -377,7 +375,7 @@ TEST(Reliability, WireDeadlineExceededReply) {
 }
 
 TEST(Reliability, StatsRoundTripReliabilityCounters) {
-  FaultGuard guard("batcher.run_batch=stall:100");
+  FaultGuard guard("surrogate.forward=stall:100");
   serve::PredictionService service(tiny_registry(), small_options());
   auto req = make_request(60);
   req.deadline_ms = 25.0;
@@ -391,7 +389,7 @@ TEST(Reliability, StatsRoundTripReliabilityCounters) {
   EXPECT_EQ(v.at("breaker").at("open_total").as_int(), 0);
   // The armed fault point's counters prove the chaos config actually fired.
   ASSERT_TRUE(v.has("faults"));
-  EXPECT_GE(v.at("faults").at("batcher.run_batch").at("fires").as_int(), 1);
+  EXPECT_GE(v.at("faults").at("surrogate.forward").at("fires").as_int(), 1);
 }
 
 TEST(Reliability, PresetStopFlagStopsConsumingInput) {
@@ -409,7 +407,7 @@ TEST(Reliability, PresetStopFlagStopsConsumingInput) {
 }
 
 TEST(Reliability, ShutdownDrainBoundsStragglersWithShuttingDownReplies) {
-  FaultGuard guard("batcher.run_batch=stall:400");
+  FaultGuard guard("surrogate.forward=stall:400");
   serve::PredictionService service(tiny_registry(), small_options());
   std::atomic<bool> stop{false};
   serve::StreamOptions stream;
@@ -534,14 +532,13 @@ TEST(Reliability, TcpSiblingConnectionUnaffectedByBadClient) {
 TEST(Reliability, CoalesceAttachFaultDegradesToDuplicateLeaders) {
   // An armed "coalesce.attach" io fault makes attach_pending report "no
   // in-flight twin": the racer becomes a second leader and the query simply
-  // runs twice — correct answers, no stuck waiters, just no dedup.
-  FaultGuard guard("coalesce.attach=io");
+  // runs twice — correct answers, no stuck waiters, just no dedup. The
+  // first forward stalls so the twin arrives while it is in flight.
+  FaultGuard guard("coalesce.attach=io;surrogate.forward=stall:50@nth:1");
   serve::ServeOptions options;
   options.workers = 1;
   options.cache_capacity = 0;
   options.coalesce = true;
-  options.max_batch = 32;
-  options.max_delay_ms = 50.0;
   serve::PredictionService service(tiny_registry(), options);
 
   auto a = service.submit(make_request(80));
@@ -549,23 +546,21 @@ TEST(Reliability, CoalesceAttachFaultDegradesToDuplicateLeaders) {
   EXPECT_TRUE(fields_bit_identical(a.get().Ez, b.get().Ez));
   const auto stats = service.stats();
   EXPECT_EQ(stats.coalesced, 0u);
-  EXPECT_EQ(stats.batcher.requests, 2u);  // both ran the pipeline
+  EXPECT_EQ(stats.surrogate_requests, 2u);  // both ran the pipeline
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.errors, 0u);
 }
 
 TEST(Reliability, FailedLeaderFansTheErrorToAttachedWaiters) {
   // When the leader's pipeline fails (here: its deadline blows while the
-  // batch stalls), every attached waiter gets the same exception — nobody
-  // hangs on an answer that will never come. A batch `throw` would not do:
-  // the single-sample retry heals it invisibly.
-  FaultGuard guard("batcher.run_batch=stall:200");
+  // forward stalls), every attached waiter gets the same exception — nobody
+  // hangs on an answer that will never come. A forward `throw` would not do:
+  // the retry heals it invisibly.
+  FaultGuard guard("surrogate.forward=stall:200");
   serve::ServeOptions options;
   options.workers = 1;
   options.cache_capacity = 0;
   options.coalesce = true;
-  options.max_batch = 32;
-  options.max_delay_ms = 5.0;
   serve::PredictionService service(tiny_registry(), options);
 
   auto req = make_request(81);

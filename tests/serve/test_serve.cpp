@@ -1,20 +1,47 @@
-// PredictionService: cache tier, micro-batcher tier, solver escalation tier.
+// PredictionService: cache tier, surrogate tier, solver escalation tier.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
 #include "math/rng.hpp"
+#include "runtime/fault.hpp"
 #include "serve/service.hpp"
 
 namespace {
 
 using namespace maps;
+namespace fault = maps::runtime::fault;
 
 constexpr index_t kN = 16;
+
+// Arms exactly `spec` for the test's scope (clearing anything the chaos CI
+// leg armed through MAPS_FAULTS), then restores the environment's spec.
+struct FaultGuard {
+  explicit FaultGuard(const std::string& spec) {
+    fault::disarm_all();
+    if (!spec.empty()) fault::arm_from_spec(spec);
+  }
+  ~FaultGuard() {
+    fault::disarm_all();
+    if (const char* env = std::getenv("MAPS_FAULTS")) {
+      if (env[0] != '\0') fault::arm_from_spec(env);
+    }
+  }
+};
+
+std::uint64_t hits_of(const std::string& name) {
+  for (const auto& p : fault::stats()) {
+    if (p.name == name) return p.hits;
+  }
+  return 0;
+}
 
 nn::ModelConfig tiny_model_config() {
   nn::ModelConfig cfg;
@@ -66,65 +93,24 @@ bool fields_bit_identical(const math::CplxGrid& a, const math::CplxGrid& b) {
                      static_cast<std::size_t>(a.size()) * sizeof(cplx)) == 0;
 }
 
-TEST(PredictionService, BatchedRepliesBitIdenticalToUnbatched) {
+TEST(PredictionService, ConcurrentRepliesBitIdenticalToSequential) {
+  // Every miss is its own forward on a TaskQueue worker: replies computed
+  // concurrently on two workers match one-at-a-time replies bit for bit,
+  // across grid sizes (the FNO is resolution-agnostic).
   const auto registry = tiny_registry();
 
-  serve::ServeOptions unbatched;
-  unbatched.max_batch = 1;
-  unbatched.max_delay_ms = 0.0;
-  unbatched.workers = 1;
-  unbatched.cache_capacity = 0;
-  serve::PredictionService one(registry, unbatched);
+  serve::ServeOptions sequential;
+  sequential.workers = 1;
+  sequential.cache_capacity = 0;
+  serve::PredictionService one(registry, sequential);
 
-  serve::ServeOptions batched;
-  batched.max_batch = 8;
-  batched.max_delay_ms = 50.0;  // force full-batch flushes
-  batched.workers = 2;
-  batched.cache_capacity = 0;
-  serve::PredictionService many(registry, batched);
+  serve::ServeOptions concurrent;
+  concurrent.workers = 2;
+  concurrent.cache_capacity = 0;
+  serve::PredictionService many(registry, concurrent);
 
   std::vector<serve::ServeRequest> requests;
   for (unsigned k = 0; k < 8; ++k) requests.push_back(make_request(100 + k));
-
-  std::vector<math::CplxGrid> unbatched_fields;
-  for (const auto& req : requests) unbatched_fields.push_back(one.predict(req).Ez);
-
-  std::vector<runtime::Future<serve::ServeResponse>> futures;
-  for (const auto& req : requests) futures.push_back(many.submit(req));
-  for (std::size_t k = 0; k < futures.size(); ++k) {
-    const auto response = futures[k].get();
-    EXPECT_EQ(response.source, serve::ResponseSource::Surrogate);
-    EXPECT_TRUE(fields_bit_identical(response.Ez, unbatched_fields[k]))
-        << "request " << k;
-  }
-  // The batched service really coalesced (one full batch of 8).
-  const auto stats = many.stats();
-  EXPECT_EQ(stats.batcher.requests, 8u);
-  EXPECT_LE(stats.batcher.batches, 2u);
-  EXPECT_GE(stats.batcher.max_batch_seen, 4u);
-}
-
-TEST(PredictionService, MixedGridSizesInOneBatchWindow) {
-  const auto registry = tiny_registry();
-
-  serve::ServeOptions unbatched;
-  unbatched.max_batch = 1;
-  unbatched.max_delay_ms = 0.0;
-  unbatched.workers = 1;
-  unbatched.cache_capacity = 0;
-  serve::PredictionService one(registry, unbatched);
-
-  serve::ServeOptions batched;
-  batched.max_batch = 8;
-  batched.max_delay_ms = 50.0;  // hold the window open so both sizes co-arrive
-  batched.workers = 2;
-  batched.cache_capacity = 0;
-  serve::PredictionService many(registry, batched);
-
-  // Interleave two grid sizes so one flush holds both: the batcher must
-  // split the run per shape (FNO is resolution-agnostic) instead of failing
-  // every job in the batch on a stacking shape mismatch.
-  std::vector<serve::ServeRequest> requests;
   for (unsigned k = 0; k < 8; ++k) {
     requests.push_back(make_request_sized(k % 2 == 0 ? kN : 2 * kN, 300 + k));
   }
@@ -132,6 +118,8 @@ TEST(PredictionService, MixedGridSizesInOneBatchWindow) {
   std::vector<math::CplxGrid> expected;
   for (const auto& req : requests) expected.push_back(one.predict(req).Ez);
 
+  // The armed no-op fault point counts forwards: one per distinct miss.
+  FaultGuard guard("surrogate.forward=stall:0");
   std::vector<runtime::Future<serve::ServeResponse>> futures;
   for (const auto& req : requests) futures.push_back(many.submit(req));
   for (std::size_t k = 0; k < futures.size(); ++k) {
@@ -139,12 +127,13 @@ TEST(PredictionService, MixedGridSizesInOneBatchWindow) {
     EXPECT_EQ(response.source, serve::ResponseSource::Surrogate);
     EXPECT_TRUE(fields_bit_identical(response.Ez, expected[k])) << "request " << k;
   }
+  EXPECT_EQ(hits_of("surrogate.forward"), requests.size());
+  EXPECT_EQ(many.stats().surrogate_requests, requests.size());
 }
 
 TEST(PredictionService, CacheHitServedWithoutRerunningModel) {
   const auto registry = tiny_registry();
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   serve::PredictionService service(registry, options);
 
@@ -152,15 +141,15 @@ TEST(PredictionService, CacheHitServedWithoutRerunningModel) {
   const auto first = service.predict(req);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.source, serve::ResponseSource::Surrogate);
-  const auto runs_after_first = service.stats().batcher.requests;
+  const auto runs_after_first = service.stats().surrogate_requests;
 
   const auto second = service.predict(req);
   EXPECT_TRUE(second.cache_hit);
   // Cache hits report the tier that produced the answer.
   EXPECT_EQ(second.source, serve::ResponseSource::Surrogate);
   EXPECT_TRUE(fields_bit_identical(second.Ez, first.Ez));
-  // The model did not run again: the batcher saw no new request.
-  EXPECT_EQ(service.stats().batcher.requests, runs_after_first);
+  // The model did not run again: no new surrogate dispatch.
+  EXPECT_EQ(service.stats().surrogate_requests, runs_after_first);
   EXPECT_EQ(service.stats().cache_hits, 1u);
 
   // A different pattern misses.
@@ -208,29 +197,9 @@ TEST(PredictionService, HighFidelityDispatchesThroughSolverBackend) {
   EXPECT_EQ(service.solver_cache().stats().misses, 1u);
 }
 
-TEST(PredictionService, DeadlineFlushesPartialBatch) {
-  const auto registry = tiny_registry();
-  serve::ServeOptions options;
-  options.max_batch = 32;  // far more than we submit
-  options.max_delay_ms = 5.0;
-  options.workers = 1;
-  options.cache_capacity = 0;
-  serve::PredictionService service(registry, options);
-
-  std::vector<runtime::Future<serve::ServeResponse>> futures;
-  for (unsigned k = 0; k < 3; ++k) futures.push_back(service.submit(make_request(k)));
-  for (auto& f : futures) EXPECT_EQ(f.get().source, serve::ResponseSource::Surrogate);
-
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.batcher.requests, 3u);
-  EXPECT_GE(stats.batcher.deadline_flushes, 1u);
-  EXPECT_EQ(stats.batcher.full_flushes, 0u);
-}
-
 TEST(PredictionService, LowConfidenceEscalatesToSolver) {
   const auto registry = tiny_registry();
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   // Absurdly tight screen: every surrogate answer is "suspect".
   options.escalate_rms_factor = 1e-9;
@@ -285,9 +254,9 @@ TEST(PredictionService, MediumFidelityUsesIterativeSolverTier) {
 }
 
 TEST(PredictionService, HotSwapMidQueueDoesNotRetargetQueuedJobs) {
-  // A request encoded and queued for model v1 must run on v1's weights even
-  // when a hot-swap to v2 lands before the batch flushes; the later request
-  // runs on v2. The batcher splits the batch at the swap point.
+  // A request encoded for model v1 must run on v1's weights even when a
+  // hot-swap to v2 lands before its forward; the later request runs on v2.
+  // Each task pins the model snapshot taken at submit time.
   const auto registry = std::make_shared<serve::ModelRegistry>();
   auto cfg_v1 = tiny_model_config();
   cfg_v1.seed = 11;
@@ -296,11 +265,11 @@ TEST(PredictionService, HotSwapMidQueueDoesNotRetargetQueuedJobs) {
   registry->install("v1", cfg_v1, nn::make_model(cfg_v1));
 
   serve::ServeOptions options;
-  options.max_batch = 32;       // never fills: both jobs ride one deadline flush
-  options.max_delay_ms = 60.0;  // long enough to swap before the flush
   options.workers = 1;
   options.cache_capacity = 0;
   serve::PredictionService service(registry, options);
+  // v1's forward stalls long enough for the v2 install to land first.
+  FaultGuard guard("surrogate.forward=stall:60@nth:1");
 
   const auto req = make_request(60);
   auto before_swap = service.submit(req);
@@ -320,7 +289,6 @@ TEST(PredictionService, HotSwapMidQueueDoesNotRetargetQueuedJobs) {
   const auto fresh_v1 = std::make_shared<serve::ModelRegistry>();
   fresh_v1->install("v1", cfg_v1, nn::make_model(cfg_v1));
   serve::ServeOptions one;
-  one.max_batch = 1;
   one.workers = 1;
   one.cache_capacity = 0;
   serve::PredictionService ref(fresh_v1, one);
@@ -330,7 +298,6 @@ TEST(PredictionService, HotSwapMidQueueDoesNotRetargetQueuedJobs) {
 TEST(PredictionService, MalformedRequestFailsTheFutureOnly) {
   const auto registry = tiny_registry();
   serve::ServeOptions options;
-  options.max_batch = 1;
   options.workers = 1;
   serve::PredictionService service(registry, options);
 
@@ -350,9 +317,9 @@ TEST(PredictionService, CoalescesIdenticalInflightQueries) {
   options.workers = 1;         // serializes submits: exactly one leader
   options.cache_capacity = 0;  // every request is a cache miss
   options.coalesce = true;
-  options.max_batch = 32;
-  options.max_delay_ms = 150.0;  // the leader sits in the flush window
   serve::PredictionService service(tiny_registry(), options);
+  // The leader's forward stalls while the racers arrive and attach.
+  FaultGuard guard("surrogate.forward=stall:150@nth:1");
 
   constexpr int kRacers = 6;
   std::vector<runtime::Future<serve::ServeResponse>> futures;
@@ -372,7 +339,7 @@ TEST(PredictionService, CoalescesIdenticalInflightQueries) {
 
   const auto stats = service.stats();
   // The surrogate ran for the two distinct patterns only.
-  EXPECT_EQ(stats.batcher.requests, 2u);
+  EXPECT_EQ(hits_of("surrogate.forward"), 2u);
   EXPECT_EQ(stats.surrogate_requests, 2u);
   EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kRacers - 1));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRacers + 1));
@@ -384,15 +351,15 @@ TEST(PredictionService, CoalescingDisabledRunsEveryQuery) {
   options.workers = 1;
   options.cache_capacity = 0;
   options.coalesce = false;
-  options.max_batch = 32;
-  options.max_delay_ms = 50.0;
   serve::PredictionService service(tiny_registry(), options);
+  // The first forward stalls so the twin arrives while it is in flight.
+  FaultGuard guard("surrogate.forward=stall:50@nth:1");
 
   auto a = service.submit(make_request(70));
   auto b = service.submit(make_request(70));
   EXPECT_TRUE(fields_bit_identical(a.get().Ez, b.get().Ez));
   const auto stats = service.stats();
-  EXPECT_EQ(stats.batcher.requests, 2u);
+  EXPECT_EQ(hits_of("surrogate.forward"), 2u);
   EXPECT_EQ(stats.coalesced, 0u);
 }
 

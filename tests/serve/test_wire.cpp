@@ -102,8 +102,6 @@ TEST(Wire, ParseOverridesAndErrors) {
 TEST(Wire, ServeStreamAnswersInOrderAndSurvivesBadLines) {
   serve::PredictionService service(tiny_registry(), [] {
     serve::ServeOptions o;
-    o.max_batch = 4;
-    o.max_delay_ms = 1.0;
     o.workers = 1;
     return o;
   }());
@@ -147,7 +145,6 @@ TEST(Wire, ServeStreamAnswersInOrderAndSurvivesBadLines) {
 TEST(Wire, TcpModeServesAConnection) {
   serve::PredictionService service(tiny_registry(), [] {
     serve::ServeOptions o;
-    o.max_batch = 1;
     o.workers = 1;
     return o;
   }());

@@ -18,14 +18,10 @@ Tracked ratios:
                                     S-parameter sweep (BENCH_speedup.json)
   conv2d_gemm_vs_direct             im2col+GEMM conv over the seed direct
                                     loops (BENCH_kernels.json)
-  serve_batched_vs_unbatched        micro-batched surrogate serving on 4
-                                    TaskQueue workers over strictly
-                                    sequential one-request-at-a-time serving
-                                    (BENCH_speedup.json; the win is worker-
-                                    parallelism-bound, so the single-core
-                                    committed baseline sits near 1x while
-                                    multi-core CI runners measure the real
-                                    batching speedup)
+  fdfd_coarse_vs_full               the Low-fidelity coarse-grid solve over
+                                    the full High-fidelity solve at n=64
+                                    (BENCH_speedup.json; gates the fidelity
+                                    axis's cost ordering)
   fdfd_cached_resolve_vs_full       amortized re-solve against a cached
                                     factorization over the full
                                     assemble+factorize+solve at n=64
@@ -140,10 +136,10 @@ TRACKED = [
             doc, "BM_Conv2dDirectFwdBwd", "BM_Conv2dGemmFwdBwd"),
     },
     {
-        "name": "serve_batched_vs_unbatched",
+        "name": "fdfd_coarse_vs_full",
         "file": "BENCH_speedup.json",
         "ratio": lambda doc: ratio_from_benchmarks(
-            doc, "BM_ServeOneAtATime", "BM_ServeMicroBatched"),
+            doc, "BM_FdfdFullSolve/64", "BM_FdfdCoarseGridSolve/64"),
     },
     {
         "name": "fdfd_cached_resolve_vs_full",

@@ -1,10 +1,11 @@
 #include "io/json.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace maps::io {
@@ -18,17 +19,17 @@ namespace {
                   names[static_cast<int>(got)]);
 }
 
+/// The alternative T of a JsonValue's variant, or a type error naming `want`.
+template <class T, class Variant>
+auto& get_as(Variant& v, const char* want) {
+  if (auto* p = std::get_if<T>(&v)) return *p;
+  type_error(want, static_cast<JsonType>(v.index()));
+}
+
 }  // namespace
 
-bool JsonValue::as_bool() const {
-  if (type_ != JsonType::Bool) type_error("bool", type_);
-  return bool_;
-}
-
-double JsonValue::as_number() const {
-  if (type_ != JsonType::Number) type_error("number", type_);
-  return num_;
-}
+bool JsonValue::as_bool() const { return get_as<bool>(v_, "bool"); }
+double JsonValue::as_number() const { return get_as<double>(v_, "number"); }
 
 long long JsonValue::as_int() const {
   const double n = as_number();
@@ -40,29 +41,14 @@ long long JsonValue::as_int() const {
 }
 
 const std::string& JsonValue::as_string() const {
-  if (type_ != JsonType::String) type_error("string", type_);
-  return str_;
+  return get_as<std::string>(v_, "string");
 }
-
-const JsonArray& JsonValue::as_array() const {
-  if (type_ != JsonType::Array) type_error("array", type_);
-  return arr_;
-}
-
+const JsonArray& JsonValue::as_array() const { return get_as<JsonArray>(v_, "array"); }
 const JsonObject& JsonValue::as_object() const {
-  if (type_ != JsonType::Object) type_error("object", type_);
-  return obj_;
+  return get_as<JsonObject>(v_, "object");
 }
-
-JsonArray& JsonValue::as_array() {
-  if (type_ != JsonType::Array) type_error("array", type_);
-  return arr_;
-}
-
-JsonObject& JsonValue::as_object() {
-  if (type_ != JsonType::Object) type_error("object", type_);
-  return obj_;
-}
+JsonArray& JsonValue::as_array() { return get_as<JsonArray>(v_, "array"); }
+JsonObject& JsonValue::as_object() { return get_as<JsonObject>(v_, "object"); }
 
 const JsonValue& JsonValue::at(const std::string& key) const {
   const JsonValue* v = find(key);
@@ -71,15 +57,15 @@ const JsonValue& JsonValue::at(const std::string& key) const {
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {
-  if (type_ != JsonType::Object) return nullptr;
-  const auto it = obj_.find(key);
-  return it == obj_.end() ? nullptr : &it->second;
+  const auto* obj = std::get_if<JsonObject>(&v_);
+  if (obj == nullptr) return nullptr;
+  const auto it = obj->find(key);
+  return it == obj->end() ? nullptr : &it->second;
 }
 
 JsonValue& JsonValue::operator[](const std::string& key) {
-  if (type_ == JsonType::Null) type_ = JsonType::Object;
-  if (type_ != JsonType::Object) type_error("object", type_);
-  return obj_[key];
+  if (is_null()) v_ = JsonObject{};
+  return as_object()[key];
 }
 
 const JsonValue& JsonValue::at(std::size_t i) const {
@@ -92,22 +78,9 @@ const JsonValue& JsonValue::at(std::size_t i) const {
 }
 
 std::size_t JsonValue::size() const {
-  if (type_ == JsonType::Array) return arr_.size();
-  if (type_ == JsonType::Object) return obj_.size();
-  type_error("array or object", type_);
-}
-
-bool JsonValue::operator==(const JsonValue& o) const {
-  if (type_ != o.type_) return false;
-  switch (type_) {
-    case JsonType::Null: return true;
-    case JsonType::Bool: return bool_ == o.bool_;
-    case JsonType::Number: return num_ == o.num_;
-    case JsonType::String: return str_ == o.str_;
-    case JsonType::Array: return arr_ == o.arr_;
-    case JsonType::Object: return obj_ == o.obj_;
-  }
-  return false;
+  if (const auto* a = std::get_if<JsonArray>(&v_)) return a->size();
+  if (const auto* o = std::get_if<JsonObject>(&v_)) return o->size();
+  type_error("array or object", type());
 }
 
 // ------------------------------------------------------------- serialization
@@ -139,15 +112,18 @@ void dump_string(std::string& out, std::string_view s) {
 }
 
 void dump_number(std::string& out, double n) {
-  if (n == std::nearbyint(n) && std::abs(n) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(n));
-    out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", n);
-    out += buf;
+  if (!std::isfinite(n)) {
+    out += "null";
+    return;
   }
+  // Integral values keep their integer spelling (100000, not the shorter
+  // 1e+05); -0 takes the shortest-round-trip path, which keeps its sign.
+  char buf[32];
+  const bool integral = n == std::nearbyint(n) && std::abs(n) < 1e15 &&
+                        !(n == 0.0 && std::signbit(n));
+  const auto r = integral ? std::to_chars(buf, std::end(buf), static_cast<long long>(n))
+                          : std::to_chars(buf, std::end(buf), n);
+  out.append(buf, r.ptr);
 }
 
 void newline_indent(std::string& out, int indent, int depth) {
@@ -159,19 +135,20 @@ void newline_indent(std::string& out, int indent, int depth) {
 }  // namespace
 
 void JsonValue::dump_to(std::string& out, int indent, int depth) const {
-  switch (type_) {
+  switch (type()) {
     case JsonType::Null: out += "null"; break;
-    case JsonType::Bool: out += bool_ ? "true" : "false"; break;
-    case JsonType::Number: dump_number(out, num_); break;
-    case JsonType::String: dump_string(out, str_); break;
+    case JsonType::Bool: out += std::get<bool>(v_) ? "true" : "false"; break;
+    case JsonType::Number: dump_number(out, std::get<double>(v_)); break;
+    case JsonType::String: dump_string(out, std::get<std::string>(v_)); break;
     case JsonType::Array: {
-      if (arr_.empty()) {
+      const auto& arr = std::get<JsonArray>(v_);
+      if (arr.empty()) {
         out += "[]";
         break;
       }
       out += '[';
       bool first = true;
-      for (const auto& v : arr_) {
+      for (const auto& v : arr) {
         if (!first) out += ',';
         first = false;
         newline_indent(out, indent, depth + 1);
@@ -182,13 +159,14 @@ void JsonValue::dump_to(std::string& out, int indent, int depth) const {
       break;
     }
     case JsonType::Object: {
-      if (obj_.empty()) {
+      const auto& obj = std::get<JsonObject>(v_);
+      if (obj.empty()) {
         out += "{}";
         break;
       }
       out += '{';
       bool first = true;
-      for (const auto& [k, v] : obj_) {
+      for (const auto& [k, v] : obj) {
         if (!first) out += ',';
         first = false;
         newline_indent(out, indent, depth + 1);
@@ -382,27 +360,54 @@ class Parser {
     }
   }
 
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) fail("invalid number");
-    if (peek() == '0' && pos_ + 1 < text_.size() &&
-        std::isdigit(static_cast<unsigned char>(text_[pos_ + 1]))) {
+    if (!is_digit(peek())) fail("invalid number");
+    if (peek() == '0' && pos_ + 1 < text_.size() && is_digit(text_[pos_ + 1])) {
       fail("leading zeros are not valid JSON");
     }
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    while (is_digit(peek())) ++pos_;
     if (peek() == '.') {
       ++pos_;
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) fail("digit after '.'");
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+      if (!is_digit(peek())) fail("digit after '.'");
+      while (is_digit(peek())) ++pos_;
     }
     if (peek() == 'e' || peek() == 'E') {
       ++pos_;
       if (peek() == '+' || peek() == '-') ++pos_;
-      if (!std::isdigit(static_cast<unsigned char>(peek()))) fail("exponent digit");
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+      if (!is_digit(peek())) fail("exponent digit");
+      while (is_digit(peek())) ++pos_;
     }
-    return JsonValue(std::strtod(text_.c_str() + start, nullptr));
+    const std::string_view num(text_.data() + start, pos_ - start);
+    double n = 0.0;
+    if (std::from_chars(num.data(), num.data() + num.size(), n).ec != std::errc()) {
+      // Out of range: an overflow has no finite value to keep, an underflow
+      // reads as a signed zero.
+      if (!below_one(num)) fail("number out of range");
+      n = num[0] == '-' ? -0.0 : 0.0;
+    }
+    return JsonValue(n);
+  }
+
+  /// Whether a scanned number is below 1 in magnitude. An out-of-range
+  /// number is above ~1.8e308 or below ~2.5e-324, so this tells its overflow
+  /// from its underflow.
+  static bool below_one(std::string_view s) {
+    if (s[0] == '-') s.remove_prefix(1);
+    const std::size_t e = std::min(s.find_first_of("eE"), s.size());
+    const std::size_t dot = std::min(s.find('.'), e);
+    const std::size_t lead = s.find_first_not_of("0.");  // first significant digit
+    long long exp = 0;
+    if (e < s.size() && std::from_chars(s.data() + e + 1 + (s[e + 1] == '+'),
+                                        s.data() + s.size(), exp).ec != std::errc()) {
+      exp = s[e + 1] == '-' ? -(1LL << 62) : 1LL << 62;  // beyond a long long
+    }
+    // Decimal order of the leading significant digit, plus the exponent.
+    const long long order = static_cast<long long>(dot) - static_cast<long long>(lead);
+    return order - (lead < dot) + exp < 0;
   }
 
   std::string parse_string() {

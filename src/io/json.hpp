@@ -1,15 +1,24 @@
 // Minimal JSON document model + parser/serializer for MAPS configuration
-// files and experiment manifests.
+// files, experiment manifests and the serve wire format.
 //
 // Scope: full JSON syntax (objects, arrays, strings with escapes incl.
-// \uXXXX basic-plane code points, numbers, bools, null). All numbers are
-// stored as double (the usual JSON-in-practice contract); integers round-
-// trip exactly up to 2^53. Parse errors throw MapsError with line/column.
+// \uXXXX basic-plane code points, numbers, bools, null). Parse errors throw
+// MapsError with line/column.
+//
+// Numbers are doubles, written by one formatter (dump() and JsonWriter) and
+// read by one parser. A finite integral value below 1e15 in magnitude keeps
+// its integer spelling (42, 100000); every other finite value is the
+// shortest text that parses back to the same bits, so doubles round-trip
+// bit-exactly, -0 included. NaN and +-inf have no JSON spelling and are
+// written as null. On input, a number beyond the double range (1e400) is a
+// parse error; one below the smallest subnormal (1e-400) reads as a zero of
+// its sign.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "math/types.hpp"
@@ -26,24 +35,24 @@ enum class JsonType { Null, Bool, Number, String, Array, Object };
 
 class JsonValue {
  public:
-  JsonValue() : type_(JsonType::Null) {}
-  JsonValue(std::nullptr_t) : type_(JsonType::Null) {}
-  JsonValue(bool b) : type_(JsonType::Bool), bool_(b) {}
-  JsonValue(double n) : type_(JsonType::Number), num_(n) {}
-  JsonValue(int n) : type_(JsonType::Number), num_(n) {}
-  JsonValue(index_t n) : type_(JsonType::Number), num_(static_cast<double>(n)) {}
-  JsonValue(const char* s) : type_(JsonType::String), str_(s) {}
-  JsonValue(std::string s) : type_(JsonType::String), str_(std::move(s)) {}
-  JsonValue(JsonArray a) : type_(JsonType::Array), arr_(std::move(a)) {}
-  JsonValue(JsonObject o) : type_(JsonType::Object), obj_(std::move(o)) {}
+  JsonValue() = default;
+  JsonValue(std::nullptr_t) {}
+  JsonValue(bool b) : v_(b) {}
+  JsonValue(double n) : v_(n) {}
+  JsonValue(int n) : v_(static_cast<double>(n)) {}
+  JsonValue(index_t n) : v_(static_cast<double>(n)) {}
+  JsonValue(const char* s) : v_(std::string(s)) {}
+  JsonValue(std::string s) : v_(std::move(s)) {}
+  JsonValue(JsonArray a) : v_(std::move(a)) {}
+  JsonValue(JsonObject o) : v_(std::move(o)) {}
 
-  JsonType type() const { return type_; }
-  bool is_null() const { return type_ == JsonType::Null; }
-  bool is_bool() const { return type_ == JsonType::Bool; }
-  bool is_number() const { return type_ == JsonType::Number; }
-  bool is_string() const { return type_ == JsonType::String; }
-  bool is_array() const { return type_ == JsonType::Array; }
-  bool is_object() const { return type_ == JsonType::Object; }
+  JsonType type() const { return static_cast<JsonType>(v_.index()); }
+  bool is_null() const { return type() == JsonType::Null; }
+  bool is_bool() const { return type() == JsonType::Bool; }
+  bool is_number() const { return type() == JsonType::Number; }
+  bool is_string() const { return type() == JsonType::String; }
+  bool is_array() const { return type() == JsonType::Array; }
+  bool is_object() const { return type() == JsonType::Object; }
 
   /// Typed accessors; throw MapsError on type mismatch.
   bool as_bool() const;
@@ -71,18 +80,16 @@ class JsonValue {
   /// Serialize; indent > 0 pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
 
-  bool operator==(const JsonValue& o) const;
+  /// Same type and equal payload; numbers compare as doubles (NaN != NaN,
+  /// -0 == 0).
+  bool operator==(const JsonValue& o) const { return v_ == o.v_; }
 
  private:
   friend class JsonWriter;
   void dump_to(std::string& out, int indent, int depth) const;
 
-  JsonType type_;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  JsonArray arr_;
-  JsonObject obj_;
+  // One alternative per JsonType, in JsonType order: type() is the index.
+  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> v_;
 };
 
 /// Streaming serializer: appends compact JSON — byte-identical to what

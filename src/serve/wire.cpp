@@ -20,7 +20,9 @@ namespace {
 
 maps::math::RealGrid parse_eps(const JsonValue& doc, index_t nx, index_t ny) {
   const JsonArray& arr = doc.at("eps").as_array();
-  require(static_cast<index_t>(arr.size()) == nx * ny,
+  // Checked by division: nx*ny can overflow index_t and pass a short eps.
+  const auto cols = static_cast<std::size_t>(ny);
+  require(arr.size() % cols == 0 && arr.size() / cols == static_cast<std::size_t>(nx),
           "serve request: eps must have nx*ny entries");
   maps::math::RealGrid eps(nx, ny);
   for (std::size_t n = 0; n < arr.size(); ++n) {

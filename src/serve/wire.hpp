@@ -25,7 +25,10 @@
 // "source" is the tier that produced the answer ("surrogate" | "solver");
 // "cache_hit": true marks a reply served from the result cache without
 // re-running that tier; "degraded": true marks a best-effort surrogate
-// answer served while the solver tier's circuit breaker is open.
+// answer served while the solver tier's circuit breaker is open. Such an
+// answer may hold non-finite values: every number is written as its
+// shortest round-trip text (io/json.hpp), and NaN or +-inf as null, so a
+// degraded reply's "field" cells and "rms" can be null.
 //
 // Requests may carry "deadline_ms": a per-request latency budget. A request
 // that cannot be answered inside it fails with code "deadline_exceeded".

@@ -1,9 +1,17 @@
-// JSON document model: parsing (valid + malformed), escapes, numbers,
-// round-trip stability, and accessor error behaviour.
+// JSON document model: parsing (valid + malformed), escapes, numbers and
+// their bit-exact round trip, round-trip stability, and accessor error
+// behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <string>
+#include <vector>
 
+#include "../json_mutants.hpp"
 #include "io/json.hpp"
 
 namespace mio = maps::io;
@@ -117,6 +125,79 @@ TEST(Json, IntegersSerializeWithoutDecimals) {
   const std::string s = v.dump(0);
   EXPECT_NE(s.find("\"n\":42"), std::string::npos) << s;
   EXPECT_NE(s.find("\"x\":1.5"), std::string::npos) << s;
+  // Integral values keep their integer spelling, not the shorter 1e+05; the
+  // sign of zero survives.
+  EXPECT_EQ(JsonValue(100000.0).dump(), "100000");
+  EXPECT_EQ(JsonValue(-0.0).dump(), "-0");
+  EXPECT_EQ(JsonValue(0.1).dump(), "0.1");
+}
+
+TEST(Json, NumbersRoundTripBitExactlyThroughWriterAndDump) {
+  // Signed zeros, the extremes, 2^53 and 1e15 neighbourhoods, then seeded
+  // values below.
+  std::vector<double> values = {0.0,         -0.0,        DBL_MAX,    -DBL_MAX,
+                                DBL_MIN,     5e-324,      -5e-324,    0x1p53 - 1,
+                                0x1p53,      0x1p53 + 2,  -0x1p53 - 2, 1e15 - 1,
+                                1e15,        1e15 + 1,    -1e15 - 1,  0.1};
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  std::uniform_int_distribution<std::uint64_t> bits;
+  for (int k = 0; k < 2000; ++k) {
+    // A surrogate field value: a float tensor entry times a double scale.
+    values.push_back(static_cast<double>(unit(rng)) * 0.37);
+    // A full-precision normal and a subnormal, from raw bits.
+    const std::uint64_t b = bits(rng);
+    const double normal = std::bit_cast<double>((b & 0x800fffffffffffffULL) |
+                                                ((b % 2046 + 1) << 52));
+    values.push_back(normal);
+    values.push_back(std::bit_cast<double>(b & 0x800fffffffffffffULL));
+  }
+
+  std::string written;
+  mio::JsonWriter w(written);
+  w.begin_array();
+  for (const double v : values) w.value(v);
+  w.end_array();
+  mio::JsonArray arr(values.begin(), values.end());
+  const std::string dumped = JsonValue(arr).dump();
+  EXPECT_EQ(written, dumped);
+
+  const auto back = mio::json_parse(written);
+  ASSERT_EQ(back.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double got = back.at(i).as_number();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(values[i]))
+        << "value " << i << ": wrote " << JsonValue(values[i]).dump() << ", read "
+        << JsonValue(got).dump();
+  }
+}
+
+TEST(Json, NonFiniteNumbersAreWrittenAsNull) {
+  mio::JsonArray arr{JsonValue(std::nan("")), JsonValue(HUGE_VAL), JsonValue(-HUGE_VAL)};
+  EXPECT_EQ(JsonValue(arr).dump(), "[null,null,null]");
+  std::string written;
+  mio::JsonWriter(written).value(-HUGE_VAL);
+  EXPECT_EQ(written, "null");
+}
+
+TEST(Json, NumbersOutOfRange) {
+  // Overflow has no finite value; underflow reads as a signed zero. The
+  // direction comes from the whole spelling, not the exponent's sign alone.
+  EXPECT_THROW(mio::json_parse("[1e400]"), maps::MapsError);
+  EXPECT_THROW(mio::json_parse("[-1e400]"), maps::MapsError);
+  EXPECT_THROW(mio::json_parse("[1.8e308]"), maps::MapsError);
+  EXPECT_THROW(mio::json_parse("[1e99999999999999999999]"), maps::MapsError);
+  const std::string huge_digits = "1" + std::string(400, '0');
+  EXPECT_THROW(mio::json_parse(huge_digits + "e-50"), maps::MapsError);
+
+  const auto tiny = mio::json_parse("[1e-400, -1e-400, 1e-99999999999999999999]");
+  for (std::size_t i = 0; i < tiny.size(); ++i) {
+    EXPECT_EQ(tiny.at(i).as_number(), 0.0);
+    EXPECT_EQ(std::signbit(tiny.at(i).as_number()), i == 1);
+  }
+  EXPECT_EQ(mio::json_parse("0." + std::string(400, '0') + "1e50").as_number(), 0.0);
+  EXPECT_EQ(mio::json_parse("0.0e99999").as_number(), 0.0);
+  EXPECT_EQ(mio::json_parse("5e-324").as_number(), 5e-324);
 }
 
 TEST(Json, MutationBuildsObjects) {
@@ -145,4 +226,34 @@ TEST(Json, DeterministicKeyOrder) {
   const auto v = mio::json_parse(R"({"zebra":1,"alpha":2})");
   const std::string s = v.dump(0);
   EXPECT_LT(s.find("alpha"), s.find("zebra"));
+}
+
+TEST(JsonFuzz, MutantsParseOrThrowMapsErrorAndRoundTrip) {
+  // Every mutant is either a document or a MapsError, never another
+  // exception or a signal; a parsed one dumps to text that parses back to
+  // an equal value and dumps to the same text again.
+  std::size_t parsed = 0, rejected = 0;
+  std::uint64_t seed = 1;
+  for (const std::string& doc : maps::test::json_seed_documents()) {
+    for (const std::string& m : maps::test::json_mutants(doc, 2500, seed++)) {
+      JsonValue v;
+      try {
+        v = mio::json_parse(m);
+      } catch (const maps::MapsError&) {
+        ++rejected;
+        continue;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-MapsError " << e.what() << " on: " << m;
+        continue;
+      }
+      ++parsed;
+      const std::string text = v.dump();
+      JsonValue back;
+      ASSERT_NO_THROW(back = mio::json_parse(text)) << m;
+      EXPECT_TRUE(back == v) << m;
+      EXPECT_EQ(back.dump(), text) << m;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }

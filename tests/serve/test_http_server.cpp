@@ -426,6 +426,29 @@ TEST(HttpServe, DeeplyNestedPredictBodyIs400AndServerStaysUp) {
   EXPECT_TRUE(io::json_parse(reply.body).has("status"));
 }
 
+TEST(HttpServe, OverflowingGridShapeIs400AndServerStaysUp) {
+  FaultGuard guard("");
+  HttpHarness h(small_options());
+  HttpClient client(h.port.load());
+  ASSERT_GE(client.fd, 0);
+
+  // nx*ny wraps index_t to 0 here: a shape check by multiplication would let
+  // the empty eps through, and the point source would be written outside a
+  // zero-size grid on a worker, killing the whole server.
+  ASSERT_TRUE(client.send_raw(http_request(
+      "POST", "/v1/predict", R"({"id":1,"nx":4294967296,"ny":4294967296,"eps":[]})")));
+  HttpReply reply;
+  ASSERT_TRUE(client.read_reply(reply));
+  EXPECT_EQ(reply.status, 400);
+  EXPECT_EQ(io::json_parse(reply.body).at("error").at("code").as_string(),
+            "bad_request");
+
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/healthz")));
+  ASSERT_TRUE(client.read_reply(reply));
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_TRUE(io::json_parse(reply.body).has("status"));
+}
+
 TEST(HttpServe, SlowLorisPartialHeaderDoesNotStallSiblings) {
   FaultGuard guard("");
   HttpHarness h(small_options());

@@ -1,5 +1,5 @@
-// Wire protocol + front ends: request parsing, reply encoding, the ndjson
-// stream loop and the TCP socket mode.
+// Wire protocol + front ends: request parsing (with a seeded fuzz corpus),
+// reply encoding, the ndjson stream loop and the TCP socket mode.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "../json_mutants.hpp"
 #include "math/rng.hpp"
 #include "runtime/fault.hpp"
 #include "serve/server.hpp"
@@ -97,6 +98,21 @@ TEST(Wire, ParseOverridesAndErrors) {
               1, 2.0, ", \"source\": {\"type\": \"point\", \"i\": 99, \"j\": 0}")),
           test_defaults()),
       MapsError);
+}
+
+TEST(Wire, ParseRejectsShapeWhoseCellCountOverflows) {
+  // 2^32 * 2^32 wraps index_t to 0: a shape check by multiplication would
+  // let an empty eps through to a point source written outside a zero-size
+  // grid.
+  EXPECT_THROW(serve::parse_request(
+                   io::json_parse(
+                       R"({"id":1,"nx":4294967296,"ny":4294967296,"eps":[]})"),
+                   test_defaults()),
+               MapsError);
+  EXPECT_THROW(serve::parse_request(
+                   io::json_parse(R"({"nx":4294967296,"ny":1,"eps":[1]})"),
+                   test_defaults()),
+               MapsError);
 }
 
 TEST(Wire, ServeStreamAnswersInOrderAndSurvivesBadLines) {
@@ -218,6 +234,28 @@ TEST(Wire, EncodeResponseCarriesDegradedFlag) {
                    .as_bool());
 }
 
+TEST(Wire, NonFiniteFieldValuesEncodeAsNull) {
+  // A degraded surrogate answer can carry non-finite cells; the reply must
+  // still be JSON any client can parse.
+  serve::ServeResponse response;
+  response.Ez = math::CplxGrid(2, 2);
+  response.Ez[0] = cplx{1.5, -0.25};
+  response.Ez[1] = cplx{std::nan(""), 0.5};
+  response.Ez[2] = cplx{2.0, HUGE_VAL};
+  response.degraded = true;
+  const auto doc = io::json_parse(
+      serve::encode_response_text(JsonValue(7), response, /*return_field=*/true));
+  const auto& re = doc.at("field").at("re");
+  const auto& im = doc.at("field").at("im");
+  EXPECT_TRUE(re.at(1).is_null());
+  EXPECT_TRUE(im.at(2).is_null());
+  EXPECT_TRUE(doc.at("rms").is_null());
+  EXPECT_EQ(re.at(0).as_number(), 1.5);
+  EXPECT_EQ(im.at(0).as_number(), -0.25);
+  EXPECT_EQ(re.at(2).as_number(), 2.0);
+  EXPECT_TRUE(doc.at("degraded").as_bool());
+}
+
 TEST(Wire, ClassifyErrorMapsExceptionsToCodes) {
   const auto classify = [](std::exception_ptr e) {
     return serve::classify_error(e);
@@ -298,6 +336,42 @@ TEST(Wire, StreamingEncodersBitIdenticalToDump) {
   err.retry_after_ms = 0.0;  // hint omitted
   EXPECT_EQ(serve::encode_error_text(JsonValue("req-9"), err),
             serve::encode_error(JsonValue("req-9"), err).dump());
+}
+
+TEST(Wire, FuzzedRequestsParseOrThrowMapsError) {
+  // The JSON fuzz corpus, carried one layer further: every mutant that
+  // parses re-parses from its dump() to an equal value, and every parsed
+  // object goes through parse_request, which either builds a request or
+  // throws MapsError.
+  std::size_t parsed = 0, accepted = 0, rejected = 0;
+  std::uint64_t seed = 101;
+  const auto defaults = test_defaults();
+  for (const std::string& doc : test::json_seed_documents()) {
+    for (const std::string& m : test::json_mutants(doc, 2500, seed++)) {
+      JsonValue v;
+      try {
+        v = io::json_parse(m);
+      } catch (const MapsError&) {
+        continue;
+      }
+      ++parsed;
+      JsonValue back;
+      ASSERT_NO_THROW(back = io::json_parse(v.dump())) << m;
+      EXPECT_TRUE(back == v) << m;
+      if (!v.is_object()) continue;
+      try {
+        serve::parse_request(v, defaults);
+        ++accepted;
+      } catch (const MapsError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-MapsError " << e.what() << " on: " << m;
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Wire, StatsJsonCarriesReliabilityBlock) {

@@ -1,11 +1,13 @@
-// google-benchmark microbenchmarks for the numerical substrates: banded LU,
-// FDFD assembly, GEMM, spectral/standard convolution (direct reference
+// google-benchmark microbenchmarks for the numerical substrates: the
+// split-complex banded LU every direct solve runs (plus one factorization of
+// the BandMatrix<cplx> reference it replaced), FDFD assembly, GEMM, spectral/standard convolution (direct reference
 // vs im2col+GEMM), blur, mode solver, and an end-to-end NN training step.
 #include <benchmark/benchmark.h>
 
 #include "fdfd/assembler.hpp"
 #include "fdfd/mode_solver.hpp"
 #include "math/banded.hpp"
+#include "math/csr.hpp"
 #include "math/gemm.hpp"
 #include "math/rng.hpp"
 #include "nn/layers.hpp"
@@ -28,6 +30,17 @@ fdfd::FdfdOperator make_op(index_t n) {
   return fdfd::assemble(spec, eps, 4.05, pml);
 }
 
+/// Eight random right-hand sides for the multi-RHS solve benches.
+std::vector<std::vector<cplx>> random_rhs8(index_t n) {
+  std::vector<std::vector<cplx>> bs(8);
+  math::Rng rng(21);
+  for (auto& b : bs) {
+    b.resize(static_cast<std::size_t>(n * n));
+    for (auto& v : b) v = {rng.uniform(), rng.uniform()};
+  }
+  return bs;
+}
+
 }  // namespace
 
 static void BM_FdfdAssemble(benchmark::State& state) {
@@ -46,7 +59,7 @@ static void BM_BandedFactorize(benchmark::State& state) {
   const index_t n = state.range(0);
   const auto op = make_op(n);
   for (auto _ : state) {
-    auto band = math::to_band(op.A);
+    auto band = math::to_split_band(op.A);
     band.factorize();
     benchmark::DoNotOptimize(band);
   }
@@ -54,49 +67,60 @@ static void BM_BandedFactorize(benchmark::State& state) {
 BENCHMARK(BM_BandedFactorize)->Arg(32)->Arg(64)->Arg(96)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
+static void BM_BandedFactorizeReference(benchmark::State& state) {
+  // The same conversion + factorization on the interleaved BandMatrix<cplx>
+  // reference the split kernel is tested against. This over
+  // BM_BandedFactorize is the band_factorize_split_vs_reference CI gate.
+  const index_t n = state.range(0);
+  const auto op = make_op(n);
+  for (auto _ : state) {
+    auto band = math::to_band(op.A);
+    band.factorize();
+    benchmark::DoNotOptimize(band);
+  }
+}
+BENCHMARK(BM_BandedFactorizeReference)->Arg(64)->Unit(benchmark::kMillisecond);
+
 static void BM_BandedTriangularSolve(benchmark::State& state) {
   const index_t n = state.range(0);
   const auto op = make_op(n);
-  auto band = math::to_band(op.A);
+  auto band = math::to_split_band(op.A);
   band.factorize();
-  std::vector<cplx> b(static_cast<std::size_t>(n * n), cplx{1.0, 0.5});
+  const std::vector<cplx> b(static_cast<std::size_t>(n * n), cplx{1.0, 0.5});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(band.solve(b));
+    auto x = b;
+    band.solve_inplace(x);
+    benchmark::DoNotOptimize(x);
   }
 }
 BENCHMARK(BM_BandedTriangularSolve)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 static void BM_BandedSolveLoop8(benchmark::State& state) {
-  // Baseline for the multi-RHS kernel: 8 independent solve passes, each
-  // streaming the full band array.
+  // 8 independent solve passes, each streaming the full band array: the
+  // per-RHS path the multi-RHS sweep below replaces.
   const index_t n = state.range(0);
   const auto op = make_op(n);
-  auto band = math::to_band(op.A);
+  auto band = math::to_split_band(op.A);
   band.factorize();
-  std::vector<std::vector<cplx>> bs(8);
-  math::Rng rng(21);
-  for (auto& b : bs) {
-    b.resize(static_cast<std::size_t>(n * n));
-    for (auto& v : b) v = {rng.uniform(), rng.uniform()};
-  }
+  const auto bs = random_rhs8(n);
   for (auto _ : state) {
-    for (const auto& b : bs) benchmark::DoNotOptimize(band.solve(b));
+    for (const auto& b : bs) {
+      auto x = b;
+      band.solve_inplace(x);
+      benchmark::DoNotOptimize(x);
+    }
   }
 }
 BENCHMARK(BM_BandedSolveLoop8)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 static void BM_BandedSolveMulti8(benchmark::State& state) {
   // The batched kernel: one sweep over the factors applied to all 8 RHS.
+  // BM_BandedSolveLoop8 over this is the band_multi8_vs_loop8 CI gate.
   const index_t n = state.range(0);
   const auto op = make_op(n);
-  auto band = math::to_band(op.A);
+  auto band = math::to_split_band(op.A);
   band.factorize();
-  std::vector<std::vector<cplx>> bs(8);
-  math::Rng rng(21);
-  for (auto& b : bs) {
-    b.resize(static_cast<std::size_t>(n * n));
-    for (auto& v : b) v = {rng.uniform(), rng.uniform()};
-  }
+  const auto bs = random_rhs8(n);
   for (auto _ : state) {
     auto work = bs;
     band.solve_multi_inplace(work);

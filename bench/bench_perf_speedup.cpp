@@ -212,7 +212,7 @@ namespace {
 // Full S-parameter pass over the bend device's excitations at three
 // wavelengths: one assembly + factorization + solve per (excitation,
 // lambda) — the verification sweep that follows every inverse-design run.
-// Shared by the split and interleaved variants so the ratio the CI perf
+// Shared by the double and mixed-precision variants so the ratio the CI perf
 // gate tracks cannot drift from a one-sided edit.
 void sparam_sweep_body(benchmark::State& state) {
   std::vector<devices::DeviceProblem> sweep;
@@ -235,24 +235,6 @@ void sparam_sweep_body(benchmark::State& state) {
 
 static void BM_SparamSweep(benchmark::State& state) { sparam_sweep_body(state); }
 BENCHMARK(BM_SparamSweep)->Unit(benchmark::kMillisecond);
-
-static void BM_SparamSweepInterleaved(benchmark::State& state) {
-  // The same sweep on the MAPS_SOLVER_INTERLEAVED fallback. The ratio of
-  // this to BM_SparamSweep is the split-kernel speedup measured within one
-  // run — runner-speed-independent, which is what the CI perf gate tracks.
-  // Save/restore the variable so an operator-set value (a whole-suite
-  // interleaved A/B run) survives this benchmark.
-  const char* prev = std::getenv("MAPS_SOLVER_INTERLEAVED");
-  const std::string saved = prev != nullptr ? prev : "";
-  setenv("MAPS_SOLVER_INTERLEAVED", "1", 1);
-  sparam_sweep_body(state);
-  if (prev != nullptr) {
-    setenv("MAPS_SOLVER_INTERLEAVED", saved.c_str(), 1);
-  } else {
-    unsetenv("MAPS_SOLVER_INTERLEAVED");
-  }
-}
-BENCHMARK(BM_SparamSweepInterleaved)->Unit(benchmark::kMillisecond);
 
 namespace {
 
@@ -291,12 +273,10 @@ static void BM_SparamSweepMixed(benchmark::State& state) {
 }
 BENCHMARK(BM_SparamSweepMixed)->Unit(benchmark::kMillisecond);
 
-namespace {
-
-// TE (Hz-polarized) full solve: assembly + factorization + one solve, the
-// hot loop of TE-mode studies. Shared by the split/interleaved pair below so
-// the te_split_vs_interleaved CI gate compares identical work.
-void te_solve_body(benchmark::State& state, index_t n) {
+static void BM_TeSolveSplit(benchmark::State& state) {
+  // TE (Hz-polarized) full solve: assembly + factorization + one solve, the
+  // hot loop of TE-mode studies.
+  const index_t n = state.range(0);
   const auto eps = random_eps(n);
   grid::GridSpec spec{n, n, 6.4 / static_cast<double>(n)};
   const auto Mz = fdfd::point_source(spec, n / 4, n / 2);
@@ -307,19 +287,7 @@ void te_solve_body(benchmark::State& state, index_t n) {
     benchmark::DoNotOptimize(sim.solve(Mz));
   }
 }
-
-}  // namespace
-
-static void BM_TeSolveSplit(benchmark::State& state) {
-  te_solve_body(state, state.range(0));
-}
 BENCHMARK(BM_TeSolveSplit)->Arg(64)->Unit(benchmark::kMillisecond);
-
-static void BM_TeSolveInterleaved(benchmark::State& state) {
-  ScopedEnv env("MAPS_SOLVER_INTERLEAVED", "1");
-  te_solve_body(state, state.range(0));
-}
-BENCHMARK(BM_TeSolveInterleaved)->Arg(64)->Unit(benchmark::kMillisecond);
 
 namespace {
 

@@ -38,8 +38,8 @@ FdfdOperator assemble(const grid::GridSpec& spec, const maps::math::RealGrid& ep
 /// (kl = ku = nx under the natural n = i + nx*j ordering), skipping the
 /// triplet -> CSR -> band conversion chain. This is the prepared-operator
 /// fast path of the dataset-generation runtime: coefficient arithmetic is
-/// identical to assemble(), so the banded system equals to_band(assemble().A)
-/// entry-for-entry; only W and the band are produced (no CSR A).
+/// identical to assemble(), so the banded system equals
+/// to_split_band(assemble().A) entry-for-entry; only W and the band are produced (no CSR A).
 ///
 /// The band scalar T is a template parameter so the mixed-precision solver
 /// path (solver::SolverPrecision::Mixed) assembles straight into fp32 band

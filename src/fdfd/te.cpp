@@ -74,18 +74,12 @@ FdfdOperator assemble_te(const grid::GridSpec& spec, const RealGrid& eps,
 TeSimulation::TeSimulation(grid::GridSpec spec, RealGrid eps, double omega,
                            PmlSpec pml)
     : spec_(spec), eps_(std::move(eps)), omega_(omega), pml_(pml),
-      op_(assemble_te(spec_, eps_, omega_, pml_)),
-      interleaved_(maps::math::interleaved_fallback_requested()) {}
+      op_(assemble_te(spec_, eps_, omega_, pml_)) {}
 
 void TeSimulation::ensure_factorized() {
-  if (split_ || lu_) return;
-  if (interleaved_) {
-    lu_ = maps::math::to_band(op_.A);
-    lu_->factorize();
-  } else {
-    split_ = maps::math::to_split_band(op_.A);
-    split_->factorize();
-  }
+  if (split_) return;
+  split_ = maps::math::to_split_band(op_.A);
+  split_->factorize();
 }
 
 CplxGrid TeSimulation::solve(const CplxGrid& Mz) {
@@ -93,11 +87,7 @@ CplxGrid TeSimulation::solve(const CplxGrid& Mz) {
                 "TeSimulation::solve: source shape mismatch");
   ensure_factorized();
   std::vector<cplx> x = rhs_from_current(Mz, omega_);
-  if (split_) {
-    split_->solve_inplace(x);
-  } else {
-    lu_->solve_inplace(x);
-  }
+  split_->solve_inplace(x);
   return CplxGrid(spec_.nx, spec_.ny, std::move(x));
 }
 
@@ -106,11 +96,7 @@ CplxGrid TeSimulation::solve_transposed(const std::vector<cplx>& rhs) {
                 "TeSimulation::solve_transposed: rhs size mismatch");
   ensure_factorized();
   std::vector<cplx> x = rhs;
-  if (split_) {
-    split_->solve_transposed_inplace(x);
-  } else {
-    lu_->solve_transposed_inplace(x);
-  }
+  split_->solve_transposed_inplace(x);
   return CplxGrid(spec_.nx, spec_.ny, std::move(x));
 }
 

@@ -2,22 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace maps::math {
-
-bool interleaved_fallback_requested() {
-  const char* env = std::getenv("MAPS_SOLVER_INTERLEAVED");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
 
 namespace {
 
 /// out = sum_t (a[t] * x[t]) over split factor storage: the gather-reduction
 /// core of the transposed solves. Four independent accumulator pairs break
 /// the floating-point add dependency chain — a single chained accumulator
-/// runs at FMA *latency* per element (~4x slower than the interleaved
-/// kernel); spread across four chains the loop runs at FMA throughput.
+/// runs at FMA *latency* per element (~4x slower than the complex BandMatrix
+/// reference); spread across four chains the loop runs at FMA throughput.
 /// Accumulation is always double; fp32 factor loads widen on the fly.
 template <typename T>
 inline void dot_accum(const T* __restrict ar, const T* __restrict ai,

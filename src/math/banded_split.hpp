@@ -1,15 +1,16 @@
-// Split-complex banded LU: the prepared-operator kernel of the async
-// dataset-generation runtime.
+// Split-complex banded LU: the one complex direct-solve kernel. Every
+// complex banded factorization and solve in the library runs on it.
 //
-// Same algorithm and storage convention as BandMatrix<cplx> (LAPACK
+// Same algorithm and storage convention as the complex BandMatrix (LAPACK
 // xGBTF2/xGBTRS with partial pivoting, column-major (2*kl+ku+1) x n band
 // array), but the complex entries are stored as two separate scalar arrays
 // (re/im). The factorization inner loops then compile to plain FMAs with no
 // interleave shuffles and no libstdc++ complex-multiply fixups, which is
-// worth >2x on the FDFD band profile (n = nx*ny, kl = ku = nx). Pivot
-// selection uses the same |re| + |im| magnitude as BandMatrix, so the
-// elimination order is identical; entries agree with the interleaved kernel
-// to rounding (~1e-15 relative), not bit-for-bit.
+// worth several-fold on the FDFD band profile (n = nx*ny, kl = ku = nx;
+// BM_BandedFactorize vs BM_BandedFactorizeReference). Pivot selection uses
+// the same |re| + |im| magnitude as BandMatrix, so the elimination order is
+// identical; entries agree with the complex BandMatrix, kept as the tests'
+// reference, to rounding (~1e-15 relative), not bit-for-bit.
 //
 // Precision: the kernel is templated on the factor scalar T.
 //   SplitBandMatrixT<double> (alias SplitBandMatrix)   the exact path; all
@@ -29,12 +30,6 @@
 #include "math/types.hpp"
 
 namespace maps::math {
-
-/// True when the MAPS_SOLVER_INTERLEAVED environment variable requests the
-/// legacy interleaved-complex BandMatrix<cplx> kernel instead of the split
-/// path (any value except unset/empty/"0"). Read per call, so tests and
-/// benches can toggle the fallback with setenv().
-bool interleaved_fallback_requested();
 
 template <typename T>
 class SplitBandMatrixT {

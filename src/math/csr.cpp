@@ -148,7 +148,8 @@ namespace {
 
 /// Shared CSR -> band conversion: detect kl/ku from the stored entries,
 /// then scatter. `Band` is any band type exposing (n, kl, ku) construction
-/// and set(r, c, v) — interleaved BandMatrix<T> or SplitBandMatrix.
+/// and set(r, c, v): SplitBandMatrix (the solve kernel) or BandMatrix<T>
+/// (the reference the split kernel is tested and benchmarked against).
 template <typename Band, typename T>
 Band csr_to_band_impl(const CsrMatrix<T>& a, const char* what) {
   require(a.rows() == a.cols(), std::string(what) + ": matrix must be square");

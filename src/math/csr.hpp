@@ -66,7 +66,9 @@ using CsrCplx = CsrMatrix<cplx>;
 extern template class CsrMatrix<double>;
 extern template class CsrMatrix<cplx>;
 
-/// Convert a square CSR matrix to banded storage (bands auto-detected).
+/// Convert a square CSR matrix to banded storage (bands auto-detected). No
+/// solve path uses it: BandMatrix<cplx> is the reference the split kernel
+/// is tested and benchmarked against.
 template <typename T>
 BandMatrix<T> to_band(const CsrMatrix<T>& a);
 

@@ -50,9 +50,9 @@ SolverKind solver_kind_for(FidelityLevel level);
 const char* solver_precision_name(SolverPrecision precision);
 SolverPrecision solver_precision_from_name(const std::string& name);
 /// The session default: Mixed when the MAPS_SOLVER_PRECISION environment
-/// variable is set to "mixed", Double otherwise. Read per call (like the
-/// MAPS_SOLVER_INTERLEAVED fallback), so tests, benches and the CI mixed leg
-/// can toggle it with setenv without touching configs.
+/// variable is set to "mixed", Double otherwise. Read per call, so tests,
+/// benches and the CI mixed leg can toggle it with setenv without touching
+/// configs.
 SolverPrecision default_solver_precision();
 
 /// Tuning of the mixed-precision iterative refinement loop (Direct backends

@@ -38,27 +38,22 @@ ProblemKey make_problem_key(const grid::GridSpec& spec, const maps::math::RealGr
   key.pml_R0 = pml.R0;
   key.kind = config.kind;
   key.coarse_factor = config.kind == SolverKind::CoarseGrid ? config.coarse_factor : 0;
-  // Direct and CoarseGrid (direct on the coarse grid) both latch the
-  // interleaved fallback at construction.
-  if (config.kind != SolverKind::Iterative) {
-    key.interleaved = maps::math::interleaved_fallback_requested();
-    // The interleaved fallback has no fp32 kernel: backends downgrade a
-    // mixed request to double there, and the key mirrors that so both
-    // spellings land on one entry.
-    key.precision = key.interleaved ? SolverPrecision::Double : config.precision;
-    if (key.precision == SolverPrecision::Mixed) {
-      // Refinement tuning changes what a mixed backend answers (tolerance,
-      // stall/fallback point), so it is keyed like iterative tolerances.
-      key.refine_rtol = config.refinement.rtol;
-      key.refine_max_iters = config.refinement.max_iters;
-    }
-  }
   if (config.kind == SolverKind::Iterative) {
     // Tolerances are part of an iterative backend's identity: a backend
     // prepared at a loose rtol must not answer solves requesting a tight one.
     key.iter_rtol = config.iterative.rtol;
     key.iter_max_iters = config.iterative.max_iters;
     key.iter_jacobi = config.iterative.jacobi_precond;
+  } else {
+    // Direct and CoarseGrid (direct on the coarse grid) both latch the factor
+    // precision at construction.
+    key.precision = config.precision;
+    if (key.precision == SolverPrecision::Mixed) {
+      // Refinement tuning changes what a mixed backend answers (tolerance,
+      // stall/fallback point), so it is keyed like iterative tolerances.
+      key.refine_rtol = config.refinement.rtol;
+      key.refine_max_iters = config.refinement.max_iters;
+    }
   }
   return key;
 }

@@ -39,12 +39,7 @@ struct ProblemKey {
   double iter_rtol = 0.0;      // 0 unless kind == Iterative
   int iter_max_iters = 0;      // ditto
   bool iter_jacobi = false;    // ditto
-  // Direct backends latch the MAPS_SOLVER_INTERLEAVED fallback at
-  // construction; a prepared split-path backend must not answer a lookup
-  // made while the fallback is requested (or vice versa), so the flag is
-  // part of the problem identity.
-  bool interleaved = false;
-  // Factor precision is likewise latched at construction: a mixed-precision
+  // Factor precision is latched at construction: a mixed-precision
   // (fp32 + refinement) backend must not answer a lookup asking for the
   // exact double path, and vice versa.
   SolverPrecision precision = SolverPrecision::Double;

@@ -31,12 +31,6 @@ obs::Histogram& refine_hist() {
   return h;
 }
 
-}  // namespace
-
-bool interleaved_solver_requested() { return maps::math::interleaved_fallback_requested(); }
-
-namespace {
-
 double l2_norm(const std::vector<cplx>& v) {
   double s = 0.0;
   for (const cplx& z : v) s += std::norm(z);
@@ -50,44 +44,36 @@ DirectBandedBackend::DirectBandedBackend(const grid::GridSpec& spec,
                                          const fdfd::PmlSpec& pml,
                                          SolverPrecision precision,
                                          const RefinementOptions& refinement)
-    : interleaved_(interleaved_solver_requested()),
-      precision_(interleaved_solver_requested() ? SolverPrecision::Double : precision),
+    : precision_(precision),
       refinement_(refinement),
       spec_(spec), eps_(eps), omega_(omega), pml_(pml) {
-  if (interleaved_) {
-    // Legacy path: eager CSR assembly, band conversion at factorize().
-    csr_op_ = fdfd::assemble(spec_, eps_, omega_, pml_);
-    W_ = csr_op_->W;
+  // Assemble straight into split band storage; the CSR operator is only
+  // built if a consumer asks for op() (or the mixed path needs refinement
+  // residuals).
+  if (precision_ == SolverPrecision::Mixed) {
+    // Assemble directly into fp32 band storage: the coefficients round to
+    // float at the store (identical to a double-assemble + convert), and
+    // the double-sized band is never allocated or written — the resident
+    // factor state is half-sized from construction on.
+    auto band = fdfd::assemble_banded_t<float>(spec_, eps_, omega_, pml_);
+    W_ = std::move(band.W);
+    split_f_.emplace(std::move(band.AB));
+    mixed_active_.store(true);
   } else {
-    // Fast path: assemble straight into split band storage; the CSR operator
-    // is only built if a consumer asks for op() (or the mixed path needs
-    // refinement residuals).
-    if (precision_ == SolverPrecision::Mixed) {
-      // Assemble directly into fp32 band storage: the coefficients round to
-      // float at the store (identical to a double-assemble + convert), and
-      // the double-sized band is never allocated or written — the resident
-      // factor state is half-sized from construction on.
-      auto band = fdfd::assemble_banded_t<float>(spec_, eps_, omega_, pml_);
-      W_ = std::move(band.W);
-      split_f_.emplace(std::move(band.AB));
-      mixed_active_.store(true);
-    } else {
-      auto band = fdfd::assemble_banded(spec_, eps_, omega_, pml_);
-      W_ = std::move(band.W);
-      split_.emplace(std::move(band.AB));
-    }
+    auto band = fdfd::assemble_banded(spec_, eps_, omega_, pml_);
+    W_ = std::move(band.W);
+    split_.emplace(std::move(band.AB));
   }
 }
 
 DirectBandedBackend::DirectBandedBackend(fdfd::FdfdOperator op,
                                          SolverPrecision precision,
                                          const RefinementOptions& refinement)
-    : interleaved_(interleaved_solver_requested()),
-      precision_(interleaved_solver_requested() ? SolverPrecision::Double : precision),
+    : precision_(precision),
       refinement_(refinement),
       spec_(op.spec), omega_(op.omega), W_(op.W) {
   csr_op_ = std::move(op);
-  if (!interleaved_ && precision_ == SolverPrecision::Mixed) mixed_active_.store(true);
+  if (precision_ == SolverPrecision::Mixed) mixed_active_.store(true);
 }
 
 void DirectBandedBackend::factorize() {
@@ -101,17 +87,9 @@ void DirectBandedBackend::factorize_locked() {
   // stall this exact point (MAPS_FAULTS "solver.factorize").
   runtime::check_deadline("DirectBandedBackend::factorize");
   runtime::fault::point("solver.factorize");
-  // A cached factorization records a ~0 span — the trace then shows the
-  // request only paid back-substitution.
-  obs::ScopedSpan span("solver.factorize", obs::current_trace(), &factorize_hist());
-  if (interleaved_) {
-    if (!lu_) {
-      lu_ = maps::math::to_band(csr_op_->A);
-      lu_->factorize();
-      ++factorizations_;
-    }
-    return;
-  }
+  // The "solver.factorize" span and histogram record only real
+  // factorizations: a re-entry on a factorized backend returns before
+  // opening one, so the trace shows the request only paid back-substitution.
   if (mixed_active_.load()) {
     if (!split_f_) {
       // Constructed from an assembled operator: csr_op_ was set in the
@@ -121,6 +99,9 @@ void DirectBandedBackend::factorize_locked() {
     }
     if (split_f_->factorized()) return;
     try {
+      // Scoped to the attempt: a failed fp32 factorization closes its span
+      // before the double fallback opens its own.
+      obs::ScopedSpan span("solver.factorize", obs::current_trace(), &factorize_hist());
       split_f_->factorize();
       ++factorizations_;
       return;
@@ -148,10 +129,10 @@ void DirectBandedBackend::factorize_double_locked() {
       split_ = maps::math::to_split_band(csr_op_->A);
     }
   }
-  if (!split_->factorized()) {
-    split_->factorize();
-    ++factorizations_;
-  }
+  if (split_->factorized()) return;
+  obs::ScopedSpan span("solver.factorize", obs::current_trace(), &factorize_hist());
+  split_->factorize();
+  ++factorizations_;
 }
 
 void DirectBandedBackend::fall_back_to_double() {
@@ -235,10 +216,6 @@ std::vector<cplx> DirectBandedBackend::solve(const std::vector<cplx>& rhs) {
   obs::ScopedSpan span("solver.solve", obs::current_trace(), &solve_hist());
   ++solves_;
   std::vector<cplx> x = rhs;
-  if (interleaved_) {
-    lu_->solve_inplace(x);
-    return x;
-  }
   if (mixed_active_.load()) {
     split_f_->solve_inplace(x);
     std::vector<std::vector<cplx>> xs;
@@ -259,10 +236,6 @@ std::vector<cplx> DirectBandedBackend::solve_transposed(const std::vector<cplx>&
   obs::ScopedSpan span("solver.solve", obs::current_trace(), &solve_hist());
   ++solves_;
   std::vector<cplx> x = rhs;
-  if (interleaved_) {
-    lu_->solve_transposed_inplace(x);
-    return x;
-  }
   if (mixed_active_.load()) {
     split_f_->solve_transposed_inplace(x);
     std::vector<std::vector<cplx>> xs;
@@ -311,13 +284,7 @@ std::vector<std::vector<cplx>> DirectBandedBackend::batch_solve_impl(
     try {
       std::vector<std::vector<cplx>> slice(std::make_move_iterator(out.begin() + lo),
                                            std::make_move_iterator(out.begin() + hi));
-      if (interleaved_) {
-        if (transposed) {
-          lu_->solve_transposed_multi_inplace(slice);
-        } else {
-          lu_->solve_multi_inplace(slice);
-        }
-      } else if (mixed) {
+      if (mixed) {
         if (transposed) {
           split_f_->solve_transposed_multi_inplace(slice);
         } else {
@@ -374,7 +341,6 @@ std::size_t DirectBandedBackend::factor_bytes() const {
   std::size_t bytes = 0;
   if (split_) bytes += split_->storage_bytes();
   if (split_f_) bytes += split_f_->storage_bytes();
-  if (lu_) bytes += lu_->storage_bytes();
   return bytes;
 }
 
@@ -386,9 +352,7 @@ std::size_t DirectBandedBackend::estimate_factor_bytes(const grid::GridSpec& spe
   const auto bw = static_cast<std::size_t>(spec.ny > 1 ? spec.nx : 1);
   const std::size_t ldab = 3 * bw + 1;  // 2*kl + ku + 1
   const std::size_t scalar =
-      (precision == SolverPrecision::Mixed && !interleaved_solver_requested())
-          ? sizeof(float)
-          : sizeof(double);
+      precision == SolverPrecision::Mixed ? sizeof(float) : sizeof(double);
   return 2 * ldab * n * scalar + n * sizeof(index_t);
 }
 

@@ -1,11 +1,10 @@
 // Direct banded-LU backend: the High-fidelity (exact) solve path.
 //
-// The default kernel is the split-complex banded LU (math::SplitBandMatrix):
-// when constructed from a problem definition the operator is assembled
-// straight into split band storage (fdfd::assemble_banded — no triplet/CSR/
-// to_band chain) and factorized/solved by the split kernel, which runs >2x
-// faster than the interleaved BandMatrix<cplx> on the FDFD band profile.
-// Every consumer of the solver layer — Simulation, adjoint batches,
+// The kernel is the split-complex banded LU (math::SplitBandMatrix): when
+// constructed from a problem definition the operator is assembled straight
+// into split band storage (fdfd::assemble_banded — no triplet/CSR chain) and
+// factorized/solved by the split kernel. An already-assembled operator is
+// converted with math::to_split_band at factorization time. Every consumer of the solver layer — Simulation, adjoint batches,
 // S-parameter sweeps, the invdes engine, the datagen prep stage — inherits
 // this path through make_backend/make_cached_backend.
 //
@@ -25,12 +24,6 @@
 // the backend's lifetime — and re-answers from the exact path. Refinement
 // steps and fallbacks are counted in the backend stats.
 //
-// MAPS_SOLVER_INTERLEAVED=1 (read per construction, so tests can toggle it
-// with setenv) falls back to the legacy interleaved BandMatrix<cplx> kernel
-// (always double; a mixed request downgrades to double there).
-// Pivot order is identical between the two, so solutions agree to rounding
-// (~1e-15 relative); the equivalence is pinned in tests/solver.
-//
 // The CSR fine-grid operator is assembled lazily on op() access — the hot
 // paths only ever need W, which the banded assembly already provides (the
 // mixed path triggers it on the first refined solve for residuals). The
@@ -48,10 +41,6 @@
 #include "solver/backend.hpp"
 
 namespace maps::solver {
-
-/// True when the MAPS_SOLVER_INTERLEAVED environment variable requests the
-/// legacy interleaved-complex kernel (any value except unset/empty/"0").
-bool interleaved_solver_requested();
 
 class DirectBandedBackend final : public SolverBackend {
  public:
@@ -81,36 +70,30 @@ class DirectBandedBackend final : public SolverBackend {
   /// CSR assembly).
   const std::vector<cplx>& W() const override { return W_; }
 
-  /// True when this backend runs the split-complex kernel (the default;
-  /// false only under MAPS_SOLVER_INTERLEAVED).
-  bool split_path() const { return !interleaved_; }
-
-  /// The precision this backend was configured with (Mixed downgrades to
-  /// Double under the interleaved fallback).
+  /// The precision this backend was configured with.
   SolverPrecision precision() const { return precision_; }
   /// True while solves are answered by the fp32 factors + refinement. Flips
   /// to false permanently once refinement has stalled and the backend fell
   /// back to double factors.
   bool mixed_active() const { return mixed_active_.load(); }
 
-  /// Bytes of band solve state. On the split path the band array exists
-  /// (and is resident) from construction, so this reports its size
-  /// immediately — factorization happens in place and adds nothing; under
-  /// SolverPrecision::Mixed this is the fp32 array, i.e. ~half the double
-  /// footprint (plus the double factors too after a refinement fallback).
-  /// The interleaved fallback converts CSR to band lazily, so it reports 0
-  /// until the first factorize(). Do not use == 0 as a "not yet
-  /// factorized" probe. Locked: the cache polls this concurrently with
-  /// lazy factorization.
+  /// Bytes of band solve state. Built from a problem definition, the band
+  /// array exists (and is resident) from construction, so this reports its
+  /// size immediately — factorization happens in place and adds nothing;
+  /// under SolverPrecision::Mixed this is the fp32 array, i.e. ~half the
+  /// double footprint (plus the double factors too after a refinement
+  /// fallback). Built from an assembled operator, the band is converted
+  /// lazily, so it reports 0 until the first factorize(). Do not use == 0
+  /// as a "not yet factorized" probe. Locked: the cache polls this
+  /// concurrently with lazy factorization.
   std::size_t factor_bytes() const override;
 
   /// Predicted factor_bytes() for a backend built from `spec` at `precision`,
   /// without assembling anything: the split band array is 2 scalar planes of
   /// (2*kl+ku+1) x n with kl = ku = (ny > 1 ? nx : 1), the assembler's
-  /// bandwidth rule, plus the pivot vector. Mixed counts
-  /// fp32 planes (half the double footprint) unless the interleaved fallback
-  /// is active, which has no fp32 kernel. Used by capacity planners (e.g.
-  /// the datagen memory budget) that must size windows before any solve.
+  /// bandwidth rule, plus the pivot vector. Mixed counts fp32 planes (half
+  /// the double footprint). Used by capacity planners (e.g. the datagen
+  /// memory budget) that must size windows before any solve.
   static std::size_t estimate_factor_bytes(const grid::GridSpec& spec,
                                            SolverPrecision precision);
 
@@ -134,7 +117,6 @@ class DirectBandedBackend final : public SolverBackend {
   /// double factors are complete before the flag flips off.
   void factorize_double_locked();
 
-  bool interleaved_ = false;
   SolverPrecision precision_ = SolverPrecision::Double;
   RefinementOptions refinement_;
   std::atomic<bool> mixed_active_{false};
@@ -150,7 +132,6 @@ class DirectBandedBackend final : public SolverBackend {
   mutable std::mutex mu_;  // guards lazy factorization + fallback
   std::optional<maps::math::SplitBandMatrix> split_;
   std::optional<maps::math::SplitBandMatrixF> split_f_;  // mixed-precision path
-  std::optional<maps::math::BandMatrix<cplx>> lu_;  // interleaved fallback
 
   mutable std::mutex op_mu_;  // guards lazy CSR assembly
   mutable std::optional<fdfd::FdfdOperator> csr_op_;

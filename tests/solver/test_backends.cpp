@@ -5,16 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
 #include "math/rng.hpp"
+#include "obs/metrics.hpp"
 #include "solver/cache.hpp"
 #include "solver/coarse.hpp"
 #include "solver/direct.hpp"
 #include "solver/iterative.hpp"
-#include "solver/prepared.hpp"
 
 namespace ms = maps::solver;
 namespace mf = maps::fdfd;
@@ -238,13 +237,6 @@ TEST(FactorizationCache, KeyDiscriminatesEpsOmegaAndPml) {
   pml2.ncells += 1;
   EXPECT_NE(ms::make_problem_key(rig.spec, rig.eps, rig.omega, pml2, cfg), base);
   EXPECT_EQ(ms::make_problem_key(rig.spec, rig.eps, rig.omega, rig.pml, cfg), base);
-
-  // The interleaved fallback is latched per construction, so a cached split
-  // backend must not answer a lookup made under MAPS_SOLVER_INTERLEAVED.
-  setenv("MAPS_SOLVER_INTERLEAVED", "1", 1);
-  const auto inter = ms::make_problem_key(rig.spec, rig.eps, rig.omega, rig.pml, cfg);
-  unsetenv("MAPS_SOLVER_INTERLEAVED");
-  EXPECT_NE(inter, base);
 }
 
 TEST(FactorizationCache, WavelengthSweepFactorizesLessThanItSolves) {
@@ -321,83 +313,58 @@ TEST(SimulationSolverLayer, SolveBatchMatchesSequentialSolves) {
   EXPECT_EQ(sim.factorization_count(), 1);
 }
 
-TEST(PreparedBandBackend, MatchesDirectBackend) {
+TEST(DirectBandedBackend, LazyOperatorAndFactorAccounting) {
   WaveguideRig rig;
-  ms::DirectBandedBackend direct(rig.spec, rig.eps, rig.omega, rig.pml);
-  auto prepared = ms::make_prepared_backend(rig.spec, rig.eps, rig.omega, rig.pml);
-  // The prepared backend is now a thin view over DirectBandedBackend (the
-  // split path became the default), so it reports the direct name.
-  EXPECT_EQ(prepared->name(), "direct_banded");
-  EXPECT_TRUE(prepared->split_path());
+  ms::DirectBandedBackend backend(rig.spec, rig.eps, rig.omega, rig.pml);
+  EXPECT_EQ(backend.name(), "direct_banded");
+  // The band array is resident from construction; factorization is in place.
+  EXPECT_GT(backend.factor_bytes(), 0u);
 
-  const auto x_direct = direct.solve(rig.rhs);
-  const auto x_prep = prepared->solve(rig.rhs);
-  EXPECT_LT(rel_l2(x_prep, x_direct), 1e-12);
-
-  const auto t_direct = direct.solve_transposed(rig.rhs);
-  const auto t_prep = prepared->solve_transposed(rig.rhs);
-  EXPECT_LT(rel_l2(t_prep, t_direct), 1e-12);
+  (void)backend.solve(rig.rhs);
+  (void)backend.solve_transposed(rig.rhs);
 
   // W is served without assembling the CSR operator; op() assembles lazily
-  // and agrees with the direct backend's.
-  ASSERT_EQ(prepared->W().size(), direct.op().W.size());
-  for (std::size_t n = 0; n < prepared->W().size(); ++n) {
-    ASSERT_EQ(prepared->W()[n], direct.op().W[n]);
+  // and agrees with it.
+  const auto& W = backend.W();
+  const auto& op = backend.op();
+  ASSERT_EQ(W.size(), op.W.size());
+  for (std::size_t n = 0; n < W.size(); ++n) {
+    ASSERT_EQ(W[n], op.W[n]);
   }
-  EXPECT_GT(prepared->factor_bytes(), 0u);
-  EXPECT_EQ(prepared->factorization_count(), 1);
+  EXPECT_GT(backend.factor_bytes(), 0u);
+  EXPECT_EQ(backend.factorization_count(), 1);
 }
 
-TEST(PreparedBandBackend, BatchMatchesSingleSolves) {
+TEST(DirectBandedBackend, BatchMatchesSingleSolves) {
   WaveguideRig rig;
-  auto prepared = ms::make_prepared_backend(rig.spec, rig.eps, rig.omega, rig.pml);
+  ms::DirectBandedBackend backend(rig.spec, rig.eps, rig.omega, rig.pml);
   std::vector<std::vector<cplx>> batch;
   for (unsigned s = 0; s < 3; ++s) batch.push_back(random_rhs(48 * 48, 70 + s));
-  const auto xs = prepared->solve_batch(batch);
-  const auto ts = prepared->solve_transposed_batch(batch);
+  const auto xs = backend.solve_batch(batch);
+  const auto ts = backend.solve_transposed_batch(batch);
   ASSERT_EQ(xs.size(), 3u);
   for (std::size_t k = 0; k < batch.size(); ++k) {
-    EXPECT_LT(rel_l2(xs[k], prepared->solve(batch[k])), 1e-13);
-    EXPECT_LT(rel_l2(ts[k], prepared->solve_transposed(batch[k])), 1e-13);
+    EXPECT_LT(rel_l2(xs[k], backend.solve(batch[k])), 1e-13);
+    EXPECT_LT(rel_l2(ts[k], backend.solve_transposed(batch[k])), 1e-13);
   }
 }
 
-TEST(SolverBackends, SplitMatchesInterleavedFallback) {
-  // The MAPS_SOLVER_INTERLEAVED=1 escape hatch must agree with the default
-  // split-complex path to rounding (identical pivot order; ~1e-15 relative
-  // per entry, pinned here at 1e-12 over the whole field) on forward,
-  // transposed and batched solves.
+TEST(DirectBandedBackend, FactorizeHistogramCountsOnlyRealFactorizations) {
+  // solver.factorize_ms observes factorizations, not factorize() calls: the
+  // solves after the first re-enter factorize() on factorized state and must
+  // record nothing, or every histogram quantile blends in ~0 ms entries.
+  ASSERT_TRUE(maps::obs::metrics_enabled());
   WaveguideRig rig;
-  ms::DirectBandedBackend split_backend(rig.spec, rig.eps, rig.omega, rig.pml);
-  ASSERT_TRUE(split_backend.split_path());
-
-  setenv("MAPS_SOLVER_INTERLEAVED", "1", 1);
-  ms::DirectBandedBackend inter(rig.spec, rig.eps, rig.omega, rig.pml);
-  unsetenv("MAPS_SOLVER_INTERLEAVED");
-  ASSERT_FALSE(inter.split_path());
-  EXPECT_EQ(inter.name(), split_backend.name());
-
-  EXPECT_LT(rel_l2(split_backend.solve(rig.rhs), inter.solve(rig.rhs)), 1e-12);
-  EXPECT_LT(rel_l2(split_backend.solve_transposed(rig.rhs),
-                   inter.solve_transposed(rig.rhs)),
-            1e-12);
-
-  std::vector<std::vector<cplx>> batch;
-  for (unsigned s = 0; s < 3; ++s) batch.push_back(random_rhs(rig.spec.cells(), 300 + s));
-  const auto xs = split_backend.solve_batch(batch);
-  const auto xi = inter.solve_batch(batch);
-  const auto ts = split_backend.solve_transposed_batch(batch);
-  const auto ti = inter.solve_transposed_batch(batch);
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    EXPECT_LT(rel_l2(xs[k], xi[k]), 1e-12) << "rhs " << k;
-    EXPECT_LT(rel_l2(ts[k], ti[k]), 1e-12) << "rhs " << k;
-  }
-
-  // Both report the same W (the banded assembly is coefficient-identical to
-  // the CSR assembly).
-  ASSERT_EQ(split_backend.W().size(), inter.W().size());
-  for (std::size_t n = 0; n < inter.W().size(); ++n) {
-    ASSERT_EQ(split_backend.W()[n], inter.W()[n]);
+  const auto& hist = maps::obs::registry().histogram("solver.factorize_ms");
+  std::vector<std::vector<cplx>> batch{rig.rhs, random_rhs(rig.spec.cells(), 12)};
+  for (const auto precision : {ms::SolverPrecision::Double, ms::SolverPrecision::Mixed}) {
+    ms::DirectBandedBackend backend(rig.spec, rig.eps, rig.omega, rig.pml, precision);
+    const std::uint64_t before = hist.snapshot().count;
+    (void)backend.solve(rig.rhs);
+    (void)backend.solve_transposed(rig.rhs);
+    (void)backend.solve_batch(batch);
+    EXPECT_EQ(hist.snapshot().count - before, 1u) << ms::solver_precision_name(precision);
+    EXPECT_EQ(backend.factorization_count(), 1) << ms::solver_precision_name(precision);
   }
 }
 

@@ -13,9 +13,12 @@ Tracked ratios:
                                     (BENCH_datagen_throughput.json)
   fdfd_batched_vs_sequential        multi-RHS banded sweep over per-source
                                     solves at n=64 (BENCH_speedup.json)
-  sparam_split_vs_interleaved       split-complex direct kernel over the
-                                    MAPS_SOLVER_INTERLEAVED fallback on the
-                                    S-parameter sweep (BENCH_speedup.json)
+  band_factorize_split_vs_reference split-complex banded factorization over
+                                    the interleaved BandMatrix<cplx>
+                                    reference at n=64 (BENCH_kernels.json)
+  band_multi8_vs_loop8              one multi-RHS sweep over 8 per-RHS
+                                    solves on the split factors at n=128
+                                    (BENCH_kernels.json)
   conv2d_gemm_vs_direct             im2col+GEMM conv over the seed direct
                                     loops (BENCH_kernels.json)
   fdfd_coarse_vs_full               the Low-fidelity coarse-grid solve over
@@ -25,9 +28,6 @@ Tracked ratios:
   fdfd_cached_resolve_vs_full       amortized re-solve against a cached
                                     factorization over the full
                                     assemble+factorize+solve at n=64
-                                    (BENCH_speedup.json)
-  te_split_vs_interleaved           split-complex kernel over the interleaved
-                                    fallback on the TE (Hz) full solve
                                     (BENCH_speedup.json)
   fdfd_mixed_vs_double              fp32-factor + iterative-refinement direct
                                     solve over the double factorization at
@@ -124,10 +124,16 @@ TRACKED = [
             doc, "BM_FdfdSequentialMultiRhs/64", "BM_FdfdBatchedMultiRhs/64"),
     },
     {
-        "name": "sparam_split_vs_interleaved",
-        "file": "BENCH_speedup.json",
+        "name": "band_factorize_split_vs_reference",
+        "file": "BENCH_kernels.json",
         "ratio": lambda doc: ratio_from_benchmarks(
-            doc, "BM_SparamSweepInterleaved", "BM_SparamSweep"),
+            doc, "BM_BandedFactorizeReference/64", "BM_BandedFactorize/64"),
+    },
+    {
+        "name": "band_multi8_vs_loop8",
+        "file": "BENCH_kernels.json",
+        "ratio": lambda doc: ratio_from_benchmarks(
+            doc, "BM_BandedSolveLoop8/128", "BM_BandedSolveMulti8/128"),
     },
     {
         "name": "conv2d_gemm_vs_direct",
@@ -146,12 +152,6 @@ TRACKED = [
         "file": "BENCH_speedup.json",
         "ratio": lambda doc: ratio_from_benchmarks(
             doc, "BM_FdfdFullSolve/64", "BM_FdfdCachedResolve/64"),
-    },
-    {
-        "name": "te_split_vs_interleaved",
-        "file": "BENCH_speedup.json",
-        "ratio": lambda doc: ratio_from_benchmarks(
-            doc, "BM_TeSolveInterleaved/64", "BM_TeSolveSplit/64"),
     },
     {
         "name": "fdfd_mixed_vs_double",

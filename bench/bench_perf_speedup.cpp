@@ -442,7 +442,8 @@ int bench_connect(int port) {
   return fd;
 }
 
-/// Reads one Content-Length-framed response off `fd` into `scratch`.
+/// Reads one Content-Length-framed response off `fd` into `scratch`; false
+/// on a lost connection or any status other than 200.
 bool bench_read_reply(int fd, std::string& scratch) {
   scratch.clear();
   char buf[4096];
@@ -452,6 +453,7 @@ bool bench_read_reply(int fd, std::string& scratch) {
     if (body_at == std::string::npos) {
       const auto head_end = scratch.find("\r\n\r\n");
       if (head_end != std::string::npos) {
+        if (scratch.rfind("HTTP/1.1 200 ", 0) != 0) return false;
         const auto cl = scratch.find("Content-Length: ");
         if (cl == std::string::npos || cl > head_end) return false;
         content_length = static_cast<std::size_t>(
@@ -502,7 +504,7 @@ static void BM_ServeHttpKeepAlive(benchmark::State& state) {
   }
   body << "]}";
   std::ostringstream wire;
-  wire << "POST /predict HTTP/1.1\r\nHost: bench\r\nContent-Length: "
+  wire << "POST /v1/predict HTTP/1.1\r\nHost: bench\r\nContent-Length: "
        << body.str().size() << "\r\n\r\n" << body.str();
   const std::string request = wire.str();
 
@@ -513,7 +515,7 @@ static void BM_ServeHttpKeepAlive(benchmark::State& state) {
             ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
                 static_cast<ssize_t>(request.size()) &&
             bench_read_reply(fd, scratch);
-    if (!alive) state.SkipWithError("http connection failed");
+    if (!alive) state.SkipWithError("http request failed or answered non-200");
   }
   if (fd >= 0) ::close(fd);
   stop.store(true);

@@ -434,7 +434,6 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
       "conn_max_inflight");
   cfg.stream.drain_deadline_ms =
       r.number("drain_deadline_ms", cfg.stream.drain_deadline_ms);
-  cfg.stream.bind_address = r.string("bind_address", cfg.stream.bind_address);
   cfg.serve.coalesce = r.boolean("coalesce", cfg.serve.coalesce);
 
   cfg.dl = r.number("dl", cfg.dl);
@@ -443,7 +442,7 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   cfg.fidelity = r.string("fidelity", "low");
   cfg.port = r.integer("port", 0);
   cfg.http = r.boolean("http", false);
-  cfg.max_connections = r.integer("max_connections", -1);
+  cfg.bind_address = r.string("bind_address", cfg.bind_address);
   cfg.report = r.string("report", "");
   cfg.jobs_dir = r.string("jobs_dir", "");
   // A journal directory implies the jobs API: configuring where jobs persist
@@ -485,6 +484,9 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   if (cfg.stream.drain_deadline_ms < 0.0) {
     throw MapsError("serve: drain_deadline_ms must be >= 0");
   }
+  if (cfg.port != 0 && !cfg.http) {
+    throw MapsError("serve: port requires the HTTP front end (\"http\": true)");
+  }
   if (cfg.jobs && !cfg.http) {
     throw MapsError("serve: jobs requires the HTTP front end (\"http\": true)");
   }
@@ -498,8 +500,8 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
     // Fail at config-parse time, not bind time: a typo'd bind_address must
     // not get as far as loading models and opening sockets.
     in_addr parsed{};
-    if (::inet_pton(AF_INET, cfg.stream.bind_address.c_str(), &parsed) != 1) {
-      throw MapsError("serve: invalid bind_address '" + cfg.stream.bind_address +
+    if (::inet_pton(AF_INET, cfg.bind_address.c_str(), &parsed) != 1) {
+      throw MapsError("serve: invalid bind_address '" + cfg.bind_address +
                       "' (expected an IPv4 literal such as 127.0.0.1 or "
                       "0.0.0.0)");
     }
@@ -541,7 +543,6 @@ JsonValue ServeConfig::to_json() const {
   v["max_request_mb"] = static_cast<int>(stream.max_request_bytes >> 20);
   v["conn_max_inflight"] = static_cast<int>(stream.conn_max_inflight);
   v["drain_deadline_ms"] = stream.drain_deadline_ms;
-  v["bind_address"] = stream.bind_address;
   v["coalesce"] = serve.coalesce;
   v["dl"] = dl;
   v["wavelength"] = wavelength;
@@ -549,7 +550,7 @@ JsonValue ServeConfig::to_json() const {
   v["fidelity"] = fidelity;
   v["port"] = port;
   v["http"] = http;
-  v["max_connections"] = max_connections;
+  v["bind_address"] = bind_address;
   if (!report.empty()) v["report"] = report;
   v["jobs"] = jobs;
   if (!jobs_dir.empty()) v["jobs_dir"] = jobs_dir;

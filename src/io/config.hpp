@@ -99,8 +99,9 @@ struct TrainConfig {
 /// weights, a dev mode), and the "standardizer" block carries the training
 /// normalization constants the input encoder needs. "cache_capacity" /
 /// "cache_shards" size the result cache, "workers" the inference worker pool
-/// (0 = shared queue), "port" selects TCP mode (0 = stdin/stdout), and
-/// "escalate_rms_factor" arms the low-confidence solver escalation screen.
+/// (0 = shared queue), "http" selects the HTTP front end (else ndjson on
+/// stdin/stdout), and "escalate_rms_factor" arms the low-confidence solver
+/// escalation screen.
 struct ServeConfig {
   nn::ModelConfig model;
   bool wave_prior = false;
@@ -120,12 +121,13 @@ struct ServeConfig {
   double wavelength = 1.55;
   fdfd::PmlSpec pml;
   std::string fidelity = "low";
-  int port = 0;           // 0 = stdio mode (TCP/HTTP: 0 picks a free port)
-  /// Front-end selector: false = ndjson (stdio when port == 0, TCP
-  /// otherwise), true = the event-loop HTTP/1.1 server ("http" key; pair
-  /// with "bind_address" to serve beyond loopback).
+  /// Front-end selector: false = ndjson on stdin/stdout, true = the
+  /// event-loop HTTP/1.1 server ("http" key). "port" and "bind_address"
+  /// (serve beyond loopback) belong to the HTTP front end; a nonzero port
+  /// without "http" is rejected at parse time.
   bool http = false;
-  int max_connections = -1;  // TCP mode: stop after N connections (-1 = run on)
+  int port = 0;  // 0 picks a free port
+  std::string bind_address = "127.0.0.1";
   std::string report;     // optional stats JSON output path
   /// Long-running jobs API (/v1/jobs, HTTP front end only). "jobs" mounts
   /// the endpoints; "jobs_dir" names the manifest/journal directory for

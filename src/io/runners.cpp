@@ -432,6 +432,7 @@ JsonValue run_serve(const ServeConfig& config, std::istream& in, std::ostream& o
   JsonValue http_report;
   if (config.http) {
     serve::HttpOptions http;
+    http.bind_address = config.bind_address;
     http.port = config.port;
     http.stream = stream;
     http.jobs = jobs.get();
@@ -439,9 +440,6 @@ JsonValue run_serve(const ServeConfig& config, std::istream& in, std::ostream& o
     http_report["requests"] = static_cast<double>(hr.requests);
     http_report["errors"] = static_cast<double>(hr.errors);
     http_report["connections"] = static_cast<double>(hr.connections);
-  } else if (config.port > 0) {
-    serve::serve_tcp(service, defaults, config.port, &log, config.max_connections,
-                     nullptr, stream);
   } else {
     serve::serve_stream(service, defaults, in, out, &log, stream);
   }

@@ -34,9 +34,9 @@ JsonValue run_invdes(const InvDesConfig& config, std::ostream& log);
 
 /// Run the prediction server (src/serve/): load the configured model into a
 /// ModelRegistry and serve ndjson requests from `in` to `out` (stdio mode)
-/// or over TCP when config.port > 0 (`in`/`out` unused then). Returns the
-/// ServeStats report once the stream closes / the connection budget is
-/// spent. `stop`, when non-null, is the graceful-shutdown flag (flipped by
+/// or over HTTP when config.http is set (`in`/`out` unused then). Returns
+/// the ServeStats report once the stream closes or the HTTP server stops.
+/// `stop`, when non-null, is the graceful-shutdown flag (flipped by
 /// the CLI's SIGTERM/SIGINT handler): in-flight replies drain under
 /// config.stream.drain_deadline_ms and the final stats report is still
 /// produced.

@@ -1,6 +1,5 @@
-// Listening-socket setup shared by the serve front ends (blocking TCP and
-// the HTTP event loop): bind-address validation, SO_REUSEADDR, port-0
-// ephemeral binding.
+// Listening-socket setup for the HTTP front end: bind-address validation,
+// SO_REUSEADDR, port-0 ephemeral binding.
 #pragma once
 
 #include <string>

@@ -13,9 +13,9 @@
 // relaxed atomic load — call sites that format expensive messages guard on
 // it; plain `log_to` calls filter internally.
 //
-// Streams: components that already own an output stream (serve_tcp's
-// per-connection buffer, run_serve's log stream) pass it to `log_to` /
-// `format_line` and keep their existing locking. Code with no stream at
+// Streams: components that already own an output stream (run_serve's log
+// stream, the HTTP server's log) pass it to `log_to` / `format_line` and
+// keep their existing locking. Code with no stream at
 // hand (the slow-request dump, ambient warnings) uses `log_global`, which
 // writes to the process sink (default stderr, redirected by run_serve to
 // its log stream) under an internal mutex so concurrent lines never

@@ -1,4 +1,4 @@
-// Request tracing: a trace context created at ingress (HTTP/TCP/stdio),
+// Request tracing: a trace context created at ingress (HTTP or stdio),
 // carried by shared_ptr through the serving pipeline, and recorded as
 // named per-stage spans on the steady clock.
 //

@@ -35,8 +35,8 @@
 //
 // Registered point names in this repo: solver.factorize, solver.solve,
 // solver.iterative, surrogate.forward, registry.load, journal.append,
-// journal.compact, manifest.save, serve.tcp.read, serve.tcp.write,
-// http.read, http.write, coalesce.attach, jobs.step, jobs.journal.
+// journal.compact, manifest.save, http.read, http.write, coalesce.attach,
+// jobs.step, jobs.journal.
 #pragma once
 
 #include <atomic>

@@ -42,24 +42,6 @@ int status_for(const std::string& code) {
   return 500;
 }
 
-/// Resolve a request target onto its canonical (unversioned) route path.
-/// "/v1/..." strips the prefix; bare paths are deprecated aliases of their
-/// /v1 forms and pass through unchanged. Returns false for any other
-/// "/v<n>" prefix — an unsupported API version.
-bool canonical_path(const std::string& target, std::string* path) {
-  if (target == "/v1" || target.rfind("/v1/", 0) == 0) {
-    *path = target.substr(3);
-    return true;
-  }
-  if (target.size() > 2 && target[0] == '/' && target[1] == 'v') {
-    std::size_t i = 2;
-    while (i < target.size() && target[i] >= '0' && target[i] <= '9') ++i;
-    if (i > 2 && (i == target.size() || target[i] == '/')) return false;
-  }
-  *path = target;
-  return true;
-}
-
 /// Jobs-route exceptions onto wire errors: admission shed -> 429 (with
 /// Retry-After), unknown id -> 404, result-before-terminal -> 409, anything
 /// else (spec parse/validation) -> 400.
@@ -140,13 +122,13 @@ class HttpServer {
   }
 
   HttpServeReport run(std::atomic<int>* bound_port) {
-    listener_fd_ = net::make_listener(options_.stream.bind_address,
-                                      options_.port, options_.backlog);
+    listener_fd_ = net::make_listener(options_.bind_address, options_.port,
+                                      options_.backlog);
     net::set_nonblocking(listener_fd_);
     const int port = net::listener_port(listener_fd_);
     if (bound_port != nullptr) bound_port->store(port);
     obs::log_to(log_, obs::LogLevel::Info, "serve",
-                "http listening on " + options_.stream.bind_address + ":" +
+                "http listening on " + options_.bind_address + ":" +
                     std::to_string(port));
     loop_.add_fd(listener_fd_, net::EventLoop::kRead,
                  [this](std::uint32_t) { on_accept(); });
@@ -338,16 +320,18 @@ class HttpServer {
                   /*keep_alive=*/false);
       return;
     }
-    std::string path;
-    if (!canonical_path(req.target, &path)) {
+    // Every route lives under /v1: a bare path or another version is an
+    // unknown target.
+    if (req.target.rfind("/v1/", 0) != 0) {
       reply_error(conn,
                   WireError{"not_found",
-                            "unsupported API version in " + req.target +
-                                " (supported: /v1)",
+                            "unknown target " + req.target +
+                                " (the API is served under /v1)",
                             0.0},
                   req.keep_alive);
       return;
     }
+    const std::string path = req.target.substr(3);
     if (path == "/predict") {
       if (req.method != "POST") {
         reply_error(conn,

@@ -8,10 +8,9 @@
 // to the loop thread, which slots it into the connection's in-order reply
 // queue (pipelined requests answer strictly in request order).
 //
-// The API is versioned under a /v1 prefix; see serve/README.md for the
-// versioning contract. Bare paths (/predict, /healthz, /stats) remain as
-// deprecated aliases of their /v1 forms; any other /v<n>/ prefix answers a
-// structured 404. Endpoints:
+// Every route lives under the /v1 prefix; see serve/README.md for the
+// versioning contract. Any other target (a bare path such as /predict, or
+// another /v<n>/ prefix) answers a structured 404. Endpoints:
 //   POST /v1/predict           one wire request object, or a JSON array of
 //                              them (the reply is then a JSON array,
 //                              per-element ok/error)
@@ -23,6 +22,8 @@
 //                              jobs_running/jobs_queued when jobs are mounted
 //   GET  /v1/stats             the ServeStats wire JSON (same document as
 //                              the CLI "serve_stats" report block)
+//   GET  /v1/metrics           the same counters plus latency histograms as
+//                              Prometheus text
 //   POST /v1/jobs              submit a long-running job (serve/jobs.hpp)
 //   GET  /v1/jobs              list jobs, submission-ordered
 //   GET  /v1/jobs/{id}         status + progress of one job
@@ -43,6 +44,7 @@
 #include <atomic>
 #include <cstddef>
 #include <iosfwd>
+#include <string>
 
 #include "serve/server.hpp"
 
@@ -51,6 +53,10 @@ namespace maps::serve {
 class JobManager;
 
 struct HttpOptions {
+  /// Listening address: an IPv4 literal. The default keeps the server
+  /// loopback-only; serve other machines by opting into "0.0.0.0" (or a
+  /// specific interface) explicitly.
+  std::string bind_address = "127.0.0.1";
   int port = 0;          // 0 picks a free port (see bound_port)
   int backlog = 128;
   /// Accepted-connection cap; excess accepts are closed immediately.
@@ -58,9 +64,9 @@ struct HttpOptions {
   std::size_t max_header_bytes = 64u << 10;  // over it: 431, close
   /// Drain-flag poll period of the loop (ms).
   double tick_ms = 20.0;
-  /// Shared socket front-end knobs: bind_address, max_request_bytes (the
-  /// body cap behind 413), conn_max_inflight (per-connection pipeline
-  /// window), stop, drain_deadline_ms.
+  /// Knobs shared with the stdio front end: max_request_bytes (the body cap
+  /// behind 413), conn_max_inflight (per-connection pipeline window), stop,
+  /// drain_deadline_ms.
   StreamOptions stream;
   /// Mounts the /v1/jobs routes when non-null (borrowed, must outlive the
   /// server). Shutdown drains it: running jobs journal their checkpoint and

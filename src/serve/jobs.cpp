@@ -519,8 +519,8 @@ io::JsonValue JobManager::status_locked(const Job& job) const {
   return v;
 }
 
-void JobManager::save_manifest(const std::string& id, const io::JsonValue& doc) {
-  if (options_.journal_dir.empty()) return;
+bool JobManager::save_manifest(const std::string& id, const io::JsonValue& doc) {
+  if (options_.journal_dir.empty()) return true;
   const std::string path = manifest_path(id);
   const std::string tmp = path + ".tmp";
   for (int attempt = 1;; ++attempt) {
@@ -533,11 +533,11 @@ void JobManager::save_manifest(const std::string& id, const io::JsonValue& doc) 
         std::remove(tmp.c_str());
         throw MapsError("jobs: rename to " + path + " failed");
       }
-      return;
+      return true;
     } catch (const MapsError& e) {
       if (attempt >= kIoAttempts) {
         warn(std::string("manifest save failed: ") + e.what());
-        return;
+        return false;
       }
       journal_retries_.fetch_add(1);
       io_retry_backoff(attempt);
@@ -588,8 +588,9 @@ void JobManager::compact(const std::string& id, const io::JsonValue& manifest_do
   if (options_.journal_dir.empty()) return;
   // Manifest first (atomic rename makes it the full record), journal
   // truncation second; a crash in between is healed by the resume-side
-  // dedup on step numbers.
-  save_manifest(id, manifest_doc);
+  // dedup on step numbers. If the manifest could not be saved, the journal
+  // still holds the steps the older manifest lacks: keep it.
+  if (!save_manifest(id, manifest_doc)) return;
   std::FILE* f = std::fopen(journal_path(id).c_str(), "wb");
   if (f != nullptr) std::fclose(f);
 }

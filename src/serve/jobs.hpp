@@ -150,10 +150,11 @@ class JobManager {
   std::string journal_path(const std::string& id) const;
   io::JsonValue manifest_json_locked(const Job& job) const;
   io::JsonValue status_locked(const Job& job) const;
-  void save_manifest(const std::string& id, const io::JsonValue& doc);
+  /// False once the retries are spent (the older manifest stays in place).
+  bool save_manifest(const std::string& id, const io::JsonValue& doc);
   void append_journal(const std::string& id, const io::JsonValue& line);
   /// Fold the journal into the manifest and truncate it (terminal states,
-  /// resume).
+  /// parking, resume). A failed manifest save keeps the journal.
   void compact(const std::string& id, const io::JsonValue& manifest_doc);
   void warn(const std::string& message);
 

@@ -1,31 +1,18 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <array>
-#include <cerrno>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <istream>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <thread>
-#include <vector>
 
-#include "net/listener.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/deadline.hpp"
-#include "runtime/fault.hpp"
 
 namespace maps::serve {
 
@@ -210,160 +197,6 @@ StreamServeReport serve_stream(PredictionService& service,
                     " error(s)" + (stopping() ? " (shutdown drain)" : ""));
   }
   return report;
-}
-
-namespace {
-
-/// Minimal bidirectional streambuf over a connected socket fd.
-class FdStreamBuf final : public std::streambuf {
- public:
-  explicit FdStreamBuf(int fd) : fd_(fd) {
-    setg(in_.data(), in_.data(), in_.data());
-    setp(out_.data(), out_.data() + out_.size());
-  }
-  ~FdStreamBuf() override { sync(); }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    // Chaos hook: an armed "serve.tcp.read" io fault models the peer
-    // vanishing mid-request (reads hit EOF from then on).
-    if (runtime::fault::point("serve.tcp.read")) return traits_type::eof();
-    ssize_t n;
-    do {
-      n = ::read(fd_, in_.data(), in_.size());
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return traits_type::eof();
-    setg(in_.data(), in_.data(), in_.data() + n);
-    return traits_type::to_int_type(*gptr());
-  }
-
-  int_type overflow(int_type ch) override {
-    if (flush_out() != 0) return traits_type::eof();
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-      *pptr() = traits_type::to_char_type(ch);
-      pbump(1);
-    }
-    return traits_type::not_eof(ch);
-  }
-
-  int sync() override { return flush_out(); }
-
- private:
-  int flush_out() {
-    const char* p = pbase();
-    std::size_t left = static_cast<std::size_t>(pptr() - pbase());
-    if (left > 0 && runtime::fault::point("serve.tcp.write")) return -1;
-    while (left > 0) {
-      // MSG_NOSIGNAL: a peer that closed mid-reply must surface as EPIPE
-      // here (the writer logs and drains), not as a process-killing SIGPIPE.
-      const ssize_t n = ::send(fd_, p, left, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return -1;
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    setp(out_.data(), out_.data() + out_.size());
-    return 0;
-  }
-
-  int fd_;
-  std::array<char, 1 << 14> in_;
-  std::array<char, 1 << 14> out_;
-};
-
-}  // namespace
-
-void serve_tcp(PredictionService& service, const WireDefaults& defaults, int port,
-               std::ostream* log, int max_connections,
-               std::atomic<int>* bound_port, const StreamOptions& options) {
-  const int listener = net::make_listener(options.bind_address, port, 16);
-  if (bound_port != nullptr) bound_port->store(net::listener_port(listener));
-  obs::log_to(log, obs::LogLevel::Info, "serve",
-              "listening on " + options.bind_address + ":" +
-                  std::to_string(net::listener_port(listener)));
-
-  // Handler threads each buffer their connection's log lines and flush them
-  // whole under log_mu, so concurrent connections cannot interleave writes
-  // on the shared log stream. Finished threads are reaped on every accept so
-  // a long-lived server doesn't accumulate joinable-but-done threads. A list
-  // keeps the slot-then-spawn sequence exception-safe: a failed spawn pops
-  // the empty slot and refuses one connection instead of unwinding past
-  // joinable threads (std::terminate).
-  struct Handler {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-    int fd = -1;
-  };
-  std::list<Handler> handlers;
-  std::mutex log_mu;
-  const auto stopping = [&options] {
-    return options.stop != nullptr && options.stop->load();
-  };
-  const auto reap = [&handlers](bool all) {
-    for (auto it = handlers.begin(); it != handlers.end();) {
-      if (all || it->done->load()) {
-        it->thread.join();
-        it = handlers.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  for (int served = 0; max_connections < 0 || served < max_connections; ++served) {
-    if (stopping()) break;
-    int conn;
-    do {
-      conn = ::accept(listener, nullptr, nullptr);
-      // A signal (SIGTERM/SIGINT installed without SA_RESTART) interrupts
-      // the blocking accept; re-check the stop flag before retrying.
-    } while (conn < 0 && errno == EINTR && !stopping());
-    if (conn < 0) break;
-    reap(/*all=*/false);
-    try {
-      auto done = std::make_shared<std::atomic<bool>>(false);
-      handlers.push_back({std::thread{}, done, conn});
-      handlers.back().thread =
-          std::thread([&service, &defaults, log, &log_mu, conn, done, &options] {
-            FdStreamBuf buf(conn);
-            std::istream in(&buf);
-            std::ostream out(&buf);
-            std::ostringstream conn_log;
-            serve_stream(service, defaults, in, out,
-                         log != nullptr ? &conn_log : nullptr, options);
-            ::close(conn);
-            if (log != nullptr) {
-              std::lock_guard lk(log_mu);
-              *log << conn_log.str();
-            }
-            done->store(true);
-          });
-    } catch (...) {
-      // Thread or allocation exhaustion: drop this connection, keep serving.
-      if (!handlers.empty() && !handlers.back().thread.joinable()) {
-        handlers.pop_back();
-      }
-      ::close(conn);
-      if (log != nullptr) {
-        std::lock_guard lk(log_mu);
-        obs::log_to(log, obs::LogLevel::Warn, "serve",
-                    "refusing connection: handler spawn failed");
-      }
-    }
-  }
-  ::close(listener);
-  if (stopping()) {
-    // Graceful drain: wake every connection's reader (EOF on its next read)
-    // so each stream drains in-flight replies under the drain deadline.
-    for (auto& h : handlers) ::shutdown(h.fd, SHUT_RD);
-    if (log != nullptr) {
-      std::lock_guard lk(log_mu);
-      obs::log_to(log, obs::LogLevel::Info, "serve",
-                  "shutdown requested: draining " +
-                      std::to_string(handlers.size()) + " connection(s)");
-    }
-  }
-  reap(/*all=*/true);
 }
 
 }  // namespace maps::serve

@@ -1,4 +1,5 @@
-// Serving front ends: the ndjson stdio loop and a simple TCP socket mode.
+// The ndjson stdio front end, kept for CLI piping (`maps_cli serve` without
+// "http"); the socket front end is serve/http_server.hpp.
 //
 // serve_stream is pipelined: a reader parses request lines and submits them
 // to the service immediately, while a writer thread emits replies in request
@@ -6,16 +7,11 @@
 // every worker busy. The in-flight window is bounded (backpressure: the
 // reader parks when the reply queue is full). EOF drains everything and
 // returns.
-//
-// serve_tcp accepts connections on a loopback-bound listening socket and
-// runs the same line loop per connection (one thread each, connections
-// pipelined independently).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <iosfwd>
-#include <string>
 
 #include "serve/wire.hpp"
 
@@ -46,11 +42,6 @@ struct StreamOptions {
   /// "shutting_down"}} instead of holding the process open.
   const std::atomic<bool>* stop = nullptr;
   double drain_deadline_ms = 5000.0;
-  /// Listening address shared by the socket front ends (TCP and HTTP). Must
-  /// be an IPv4 literal; the default keeps the server loopback-only — serve
-  /// to other machines by opting into "0.0.0.0" (or a specific interface)
-  /// explicitly. Validated at bind time with a clear error.
-  std::string bind_address = "127.0.0.1";
 };
 
 /// Serve ndjson requests from `in`, one reply line per request on `out`,
@@ -61,18 +52,5 @@ StreamServeReport serve_stream(PredictionService& service,
                                const WireDefaults& defaults, std::istream& in,
                                std::ostream& out, std::ostream* log = nullptr,
                                const StreamOptions& options = {});
-
-/// Listen on `options.bind_address`:`port` (port 0 picks a free one) and serve each
-/// connection with the stream loop. Returns after `max_connections`
-/// connections have been served (-1 = forever) or once `options.stop` flips
-/// true (active connections are shut down for reading and drained under the
-/// drain deadline). `bound_port`, when non-null, receives the actual
-/// listening port before the first accept — tests use port 0 plus this to
-/// avoid collisions. Socket writes use MSG_NOSIGNAL: a client disconnect
-/// mid-reply surfaces as an error on that connection, not SIGPIPE.
-void serve_tcp(PredictionService& service, const WireDefaults& defaults, int port,
-               std::ostream* log = nullptr, int max_connections = -1,
-               std::atomic<int>* bound_port = nullptr,
-               const StreamOptions& options = {});
 
 }  // namespace maps::serve

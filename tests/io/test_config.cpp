@@ -308,13 +308,30 @@ TEST(Config, ServeJobsKeys) {
   EXPECT_TRUE(back.jobs);
   EXPECT_EQ(back.jobs_max_running, 2);
 
-  // Jobs ride the HTTP front end only, and the knobs have floors.
-  EXPECT_THROW(mio::ServeConfig::from_json(mio::json_parse(
-                   R"({"jobs": true})")),
-               maps::MapsError);
+  // Jobs and a listening port ride the HTTP front end only, and the knobs
+  // have floors.
+  for (const char* http_only : {R"({"jobs": true})", R"({"port": 8080})"}) {
+    try {
+      (void)mio::ServeConfig::from_json(mio::json_parse(http_only));
+      ADD_FAILURE() << http_only << " parsed";
+    } catch (const maps::MapsError& e) {
+      EXPECT_NE(std::string(e.what()).find("HTTP front end"), std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW(mio::ServeConfig::from_json(mio::json_parse(
                    R"({"http": true, "jobs": true, "jobs_max_running": 0})")),
                maps::MapsError);
+  // There is no connection budget: max_connections is an unknown key.
+  EXPECT_THROW(mio::ServeConfig::from_json(mio::json_parse(
+                   R"({"http": true, "max_connections": 4})")),
+               maps::MapsError);
+
+  const auto listen = mio::ServeConfig::from_json(mio::json_parse(
+      R"({"http": true, "port": 8080, "bind_address": "0.0.0.0"})"));
+  const auto listen_back = mio::ServeConfig::from_json(listen.to_json());
+  EXPECT_EQ(listen_back.port, 8080);
+  EXPECT_EQ(listen_back.bind_address, "0.0.0.0");
 }
 
 TEST(Config, SweepJobDefaultsAndValidation) {

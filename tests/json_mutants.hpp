@@ -1,7 +1,8 @@
 // Deterministic fuzz corpus for the JSON parsers, shared by the io and serve
-// suites: a few seed documents and seeded byte-level mutants of each. Plain
-// gtest input, no fuzzing engine: a fixed std::mt19937_64 seed makes every
-// run (sanitized, chaos or plain) see the same mutants.
+// suites: a few seed documents and seeded byte-level mutants of each (the net
+// suite mutates HTTP requests with the same generator). Plain gtest input,
+// no fuzzing engine: a fixed std::mt19937_64 seed makes every run
+// (sanitized, chaos or plain) see the same mutants.
 #pragma once
 
 #include <algorithm>
@@ -33,12 +34,15 @@ inline std::vector<std::string> json_seed_documents() {
   };
 }
 
+/// JSON punctuation and number characters: the default insert alphabet.
+inline constexpr std::string_view kJsonInserts = "[]{}\",:-+.eE0123456789";
+
 /// `count` mutants of `doc`, each made by 1-4 mutations: a bit flip, a
-/// truncation, a deletion, an insert of JSON punctuation or number
-/// characters, or a duplicated span.
+/// truncation, a deletion, an insert of one character from `inserts`, or a
+/// duplicated span.
 inline std::vector<std::string> json_mutants(const std::string& doc, std::size_t count,
-                                             std::uint64_t seed) {
-  static constexpr std::string_view kInserts = "[]{}\",:-+.eE0123456789";
+                                             std::uint64_t seed,
+                                             std::string_view inserts = kJsonInserts) {
   std::mt19937_64 rng(seed);
   const auto pick = [&rng](std::size_t n) {  // uniform in [0, n), n > 0
     return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
@@ -55,7 +59,7 @@ inline std::vector<std::string> json_mutants(const std::string& doc, std::size_t
         case 1: m.resize(at); break;
         case 2: m.erase(at, len); break;
         case 3: m.insert(m.begin() + static_cast<std::ptrdiff_t>(at),
-                         kInserts[pick(kInserts.size())]);
+                         inserts[pick(inserts.size())]);
           break;
         default: m.insert(at, m.substr(at, len)); break;
       }

@@ -1,8 +1,14 @@
 // net layer: incremental HTTP/1.1 parser, response serializer, ByteBuffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "../json_mutants.hpp"
 #include "net/buffer.hpp"
 #include "net/http.hpp"
 
@@ -17,6 +23,45 @@ namespace {
 Status feed_text(HttpParser& parser, ByteBuffer& buf, const std::string& text) {
   buf.append(text);
   return parser.feed(buf);
+}
+
+/// What a parser made of one byte stream: every ready request (flattened
+/// to text), the largest body among them and the error status it stopped
+/// on (0 = none).
+struct ParseOutcome {
+  std::vector<std::string> requests;
+  std::size_t max_body = 0;
+  int error_status = 0;
+  bool operator==(const ParseOutcome&) const = default;
+};
+
+/// Feed `wire` in `step`-byte pieces (0 = all at once), taking every ready
+/// request, until the bytes run out or the parser errors.
+ParseOutcome parse_in_pieces(const std::string& wire, std::size_t step,
+                             HttpLimits limits) {
+  HttpParser parser(limits);
+  ByteBuffer buf;
+  ParseOutcome out;
+  const std::size_t piece = step == 0 ? wire.size() : step;
+  for (std::size_t at = 0; at < wire.size(); at += piece) {
+    buf.append(std::string_view(wire).substr(at, piece));
+    for (;;) {
+      const Status st = parser.feed(buf);
+      if (st == Status::NeedMore) break;
+      if (st == Status::Error) {
+        out.error_status = parser.error_status();
+        return out;
+      }
+      const HttpRequest req = parser.take_request();
+      std::string flat = req.method + " " + req.target + " 1." +
+                         std::to_string(req.version_minor) +
+                         (req.keep_alive ? " keep-alive\n" : " close\n");
+      for (const auto& [name, value] : req.headers) flat += name + ": " + value + "\n";
+      out.requests.push_back(flat + "\n" + req.body);
+      out.max_body = std::max(out.max_body, req.body.size());
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -219,4 +264,40 @@ TEST(HttpResponse, ExtraHeadersAndClose) {
   EXPECT_EQ(wire.rfind("HTTP/1.1 429 Too Many Requests\r\n", 0), 0u);
   EXPECT_NE(wire.find("Connection: close\r\n"), std::string::npos);
   EXPECT_NE(wire.find("Retry-After: 2\r\n"), std::string::npos);
+}
+
+TEST(HttpParserFuzz, MutantsParseAlikeInAnyPiecesWithinLimits) {
+  // Seeds: a GET; a Content-Length POST pipelined with an HTTP/1.0 GET; a
+  // chunked POST with chunk extensions and a trailer. The insert alphabet
+  // holds the bytes HTTP framing turns on (CR, LF, ':', ';', hex digits).
+  const std::vector<std::string> seeds = {
+      "GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\nX-Request-Id: r-1\r\n\r\n",
+      "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 9\r\n\r\n"
+      "{\"id\": 1}GET /v1/stats HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+      "POST /v1/predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "4;ext=1\r\nWiki\r\n5\r\npedia\r\n0\r\nTrailer: x\r\n\r\n",
+  };
+  HttpLimits limits;
+  limits.max_header_bytes = 72;  // just above the longest seed head
+  limits.max_body_bytes = 16;
+  std::size_t parsed = 0;
+  std::set<int> statuses;
+  std::uint64_t seed = 301;
+  for (const std::string& doc : seeds) {
+    ASSERT_EQ(parse_in_pieces(doc, 0, limits).error_status, 0) << doc;
+    for (const std::string& m :
+         maps::test::json_mutants(doc, 5000, seed++, " \r\n\t:;/.0123456789abcdefABCDEF")) {
+      const ParseOutcome whole = parse_in_pieces(m, 0, limits);
+      ASSERT_EQ(parse_in_pieces(m, 1, limits), whole) << m;
+      const int status = whole.error_status;
+      ASSERT_TRUE(status == 0 || status == 400 || status == 413 || status == 431)
+          << status << " for " << m;
+      ASSERT_LE(whole.max_body, limits.max_body_bytes) << m;
+      parsed += whole.requests.size();
+      statuses.insert(status);
+    }
+  }
+  // The corpus reaches past the request line and down every error path.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_EQ(statuses, (std::set<int>{0, 400, 413, 431}));
 }

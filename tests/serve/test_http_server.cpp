@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fdfd/source.hpp"
@@ -256,7 +257,7 @@ TEST(HttpServe, PredictHealthzStatsRoundTrip) {
 
   // Single predict.
   ASSERT_TRUE(client.send_raw(
-      http_request("POST", "/predict",
+      http_request("POST", "/v1/predict",
                    predict_body(7, 2.5, ", \"return_field\": false"))));
   HttpReply reply;
   ASSERT_TRUE(client.read_reply(reply));
@@ -273,7 +274,7 @@ TEST(HttpServe, PredictHealthzStatsRoundTrip) {
   const std::string batch = "[" + predict_body(1, 2.0) + "," +
                             "{\"id\": 2, \"nx\": 0}" + "," +
                             predict_body(3, 3.0) + "]";
-  ASSERT_TRUE(client.send_raw(http_request("POST", "/predict", batch)));
+  ASSERT_TRUE(client.send_raw(http_request("POST", "/v1/predict", batch)));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 200);
   {
@@ -289,7 +290,7 @@ TEST(HttpServe, PredictHealthzStatsRoundTrip) {
   }
 
   // Healthz: model loaded, breaker closed -> ok.
-  ASSERT_TRUE(client.send_raw(http_request("GET", "/healthz")));
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/healthz")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 200);
   {
@@ -301,7 +302,7 @@ TEST(HttpServe, PredictHealthzStatsRoundTrip) {
   }
 
   // Stats: the ServeStats wire document, including the coalesced counter.
-  ASSERT_TRUE(client.send_raw(http_request("GET", "/stats")));
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/stats")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 200);
   {
@@ -318,13 +319,13 @@ TEST(HttpServe, PredictHealthzStatsRoundTrip) {
   EXPECT_EQ(io::json_parse(reply.body).at("error").at("code").as_string(),
             "not_found");
 
-  ASSERT_TRUE(client.send_raw(http_request("GET", "/predict")));
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/predict")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 405);
   ASSERT_NE(reply.header("Allow"), nullptr);
   EXPECT_EQ(*reply.header("Allow"), "POST");
 
-  ASSERT_TRUE(client.send_raw(http_request("POST", "/healthz")));
+  ASSERT_TRUE(client.send_raw(http_request("POST", "/v1/healthz")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 405);
   ASSERT_NE(reply.header("Allow"), nullptr);
@@ -347,10 +348,10 @@ TEST(HttpServe, PipelinedRequestsAnswerInOrder) {
   // Three requests in one write; the slow /predict answers must not let the
   // instant /healthz overtake them.
   std::string wire =
-      http_request("POST", "/predict",
+      http_request("POST", "/v1/predict",
                    predict_body(1, 2.0, ", \"return_field\": false")) +
-      http_request("GET", "/healthz") +
-      http_request("POST", "/predict",
+      http_request("GET", "/v1/healthz") +
+      http_request("POST", "/v1/predict",
                    predict_body(2, 3.0, ", \"return_field\": false"));
   ASSERT_TRUE(client.send_raw(wire));
 
@@ -377,7 +378,7 @@ TEST(HttpServe, OversizedBodyIs413WithEnvelopeThenClose) {
   // leaving the kernel buffer empty keeps the close a clean FIN (unread data
   // at close can turn into an RST that races the 413 reply).
   ASSERT_TRUE(client.send_raw(
-      "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 1000\r\n\r\n"));
+      "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: 1000\r\n\r\n"));
   HttpReply reply;
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 413);
@@ -456,17 +457,52 @@ TEST(HttpServe, SlowLorisPartialHeaderDoesNotStallSiblings) {
   // The loris trickles half a header and then just sits there.
   HttpClient loris(h.port.load());
   ASSERT_GE(loris.fd, 0);
-  ASSERT_TRUE(loris.send_raw("POST /predict HTTP/1.1\r\nContent-Le"));
+  ASSERT_TRUE(loris.send_raw("POST /v1/predict HTTP/1.1\r\nContent-Le"));
 
   // A well-behaved sibling gets full service while the loris dangles.
   HttpClient good(h.port.load());
   ASSERT_GE(good.fd, 0);
   for (int k = 0; k < 3; ++k) {
-    ASSERT_TRUE(good.send_raw(http_request("GET", "/healthz")));
+    ASSERT_TRUE(good.send_raw(http_request("GET", "/v1/healthz")));
     HttpReply reply;
     ASSERT_TRUE(good.read_reply(reply));
     EXPECT_EQ(reply.status, 200);
   }
+}
+
+TEST(HttpServe, ClientGoneMidReplyIsNotFatal) {
+  // Each forward stalls, so the five replies leave one at a time. The
+  // first reaches a client that has already closed; its kernel answers
+  // with a reset, and the next reply is written to a reset socket (EPIPE).
+  // Without MSG_NOSIGNAL that write raises SIGPIPE and kills this whole
+  // test binary.
+  FaultGuard guard("surrogate.forward=stall:10");
+  HttpHarness h(small_options());
+  {
+    HttpClient client(h.port.load());
+    ASSERT_GE(client.fd, 0);
+    std::string burst;
+    for (int id = 1; id <= 5; ++id) {
+      burst += http_request("POST", "/v1/predict", predict_body(id, 2.0 + id));
+    }
+    ASSERT_TRUE(client.send_raw(burst));
+  }  // closed without reading a byte
+  for (int k = 0; k < 5000 && h.service.stats().completed < 5; ++k) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(h.service.stats().completed, 5u);
+
+  // The server is still up: a new connection gets full service.
+  HttpClient probe(h.port.load());
+  ASSERT_GE(probe.fd, 0);
+  ASSERT_TRUE(probe.send_raw(http_request("GET", "/v1/healthz")));
+  HttpReply reply;
+  ASSERT_TRUE(probe.read_reply(reply));
+  EXPECT_EQ(reply.status, 200);
+  probe.close();
+  h.shutdown();
+  EXPECT_EQ(h.report.connections, 2u);
+  EXPECT_GE(h.report.errors, 1u);  // the write to the dead peer
 }
 
 // --- coalescing --------------------------------------------------------------
@@ -484,7 +520,7 @@ TEST(HttpServe, IdenticalConcurrentPredictsCoalesceToOneForward) {
 
   constexpr int kClients = 8;
   const std::string wire = http_request(
-      "POST", "/predict", predict_body(5, 2.25, ", \"return_field\": false"));
+      "POST", "/v1/predict", predict_body(5, 2.25, ", \"return_field\": false"));
   std::vector<std::unique_ptr<HttpClient>> clients;
   for (int k = 0; k < kClients; ++k) {
     clients.push_back(std::make_unique<HttpClient>(h.port.load()));
@@ -533,11 +569,11 @@ TEST(HttpServe, OverloadAnswers429WithRetryAfter) {
   ASSERT_GE(first.fd, 0);
   ASSERT_GE(second.fd, 0);
   ASSERT_TRUE(first.send_raw(http_request(
-      "POST", "/predict", predict_body(1, 2.0, ", \"return_field\": false"))));
+      "POST", "/v1/predict", predict_body(1, 2.0, ", \"return_field\": false"))));
   // Give the first request time to occupy the only in-flight slot.
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   ASSERT_TRUE(second.send_raw(http_request(
-      "POST", "/predict", predict_body(2, 3.0, ", \"return_field\": false"))));
+      "POST", "/v1/predict", predict_body(2, 3.0, ", \"return_field\": false"))));
 
   HttpReply shed;
   ASSERT_TRUE(second.read_reply(shed));
@@ -576,7 +612,7 @@ TEST(HttpServe, ThousandIdleKeepAliveConnectionsNoNewThreads) {
   // queue workers) exists before the baseline count is taken.
   HttpReply reply;
   ASSERT_TRUE(conns.front()->send_raw(http_request(
-      "POST", "/predict", predict_body(8, 2.0, ", \"return_field\": false"))));
+      "POST", "/v1/predict", predict_body(8, 2.0, ", \"return_field\": false"))));
   ASSERT_TRUE(conns.front()->read_reply(reply));
   EXPECT_EQ(reply.status, 200);
   const std::size_t threads_baseline = thread_count();
@@ -586,7 +622,7 @@ TEST(HttpServe, ThousandIdleKeepAliveConnectionsNoNewThreads) {
     ASSERT_GE(conns.back()->fd, 0) << "connection " << k;
     // Prove it is a live HTTP connection, then leave it idle.
     if (k % 250 == 0) {
-      ASSERT_TRUE(conns.back()->send_raw(http_request("GET", "/healthz")));
+      ASSERT_TRUE(conns.back()->send_raw(http_request("GET", "/v1/healthz")));
       ASSERT_TRUE(conns.back()->read_reply(reply));
       EXPECT_EQ(reply.status, 200);
     }
@@ -595,10 +631,10 @@ TEST(HttpServe, ThousandIdleKeepAliveConnectionsNoNewThreads) {
   // All 1000 idle connections are held by the single event-loop thread:
   // request service still works and the process thread count is flat.
   ASSERT_TRUE(conns.front()->send_raw(http_request(
-      "POST", "/predict", predict_body(9, 2.0, ", \"return_field\": false"))));
+      "POST", "/v1/predict", predict_body(9, 2.0, ", \"return_field\": false"))));
   ASSERT_TRUE(conns.front()->read_reply(reply));
   EXPECT_EQ(reply.status, 200);
-  ASSERT_TRUE(conns.back()->send_raw(http_request("GET", "/stats")));
+  ASSERT_TRUE(conns.back()->send_raw(http_request("GET", "/v1/stats")));
   ASSERT_TRUE(conns.back()->read_reply(reply));
   EXPECT_EQ(reply.status, 200);
 
@@ -621,7 +657,7 @@ TEST(HttpServe, DrainFinishesInflightRepliesThenExits) {
 
   // A reply is in flight (stalled in its forward) when the stop flag flips.
   ASSERT_TRUE(client.send_raw(http_request(
-      "POST", "/predict", predict_body(4, 2.0, ", \"return_field\": false"))));
+      "POST", "/v1/predict", predict_body(4, 2.0, ", \"return_field\": false"))));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   h.stop.store(true);
 
@@ -637,7 +673,7 @@ TEST(HttpServe, DrainFinishesInflightRepliesThenExits) {
 
 // --- /v1 versioning ----------------------------------------------------------
 
-TEST(HttpServe, V1PrefixAndBareAliasesAnswerAlike) {
+TEST(HttpServe, V1RoutesAnswerAndEveryOtherTargetIs404) {
   FaultGuard guard("");
   HttpHarness h(small_options());
   HttpClient client(h.port.load());
@@ -652,36 +688,42 @@ TEST(HttpServe, V1PrefixAndBareAliasesAnswerAlike) {
   EXPECT_EQ(reply.status, 200);
   EXPECT_EQ(io::json_parse(reply.body).at("id").as_int(), 11);
 
-  // Versioned and bare paths serve the same healthz document.
-  std::string versioned, bare;
   ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/healthz")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 200);
-  versioned = reply.body;
-  ASSERT_TRUE(client.send_raw(http_request("GET", "/healthz")));
-  ASSERT_TRUE(client.read_reply(reply));
-  EXPECT_EQ(reply.status, 200);
-  bare = reply.body;
-  EXPECT_EQ(versioned, bare);
+  EXPECT_EQ(io::json_parse(reply.body).at("status").as_string(), "ok");
 
   ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/stats")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 200);
   EXPECT_TRUE(io::json_parse(reply.body).has("requests"));
 
-  // Unknown versions answer the structured envelope, not a bare 404.
-  for (const char* target : {"/v2/healthz", "/v2", "/v99/jobs"}) {
-    ASSERT_TRUE(client.send_raw(http_request("GET", target)));
-    ASSERT_TRUE(client.read_reply(reply));
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/metrics")));
+  ASSERT_TRUE(client.read_reply(reply));
+  EXPECT_EQ(reply.status, 200);
+
+  // Bare paths, other API versions and the bare prefix all answer the
+  // structured not_found envelope, on a connection that stays open.
+  const std::vector<std::pair<std::string, std::string>> unknown = {
+      {"GET", "/healthz"}, {"GET", "/stats"},  {"GET", "/metrics"},
+      {"POST", "/predict"}, {"GET", "/v2/healthz"}, {"GET", "/v2"},
+      {"GET", "/v99/jobs"}, {"GET", "/v1"},     {"GET", "/v1x/healthz"}};
+  for (const auto& [method, target] : unknown) {
+    const std::string body =
+        method == "POST" ? predict_body(12, 2.5, ", \"return_field\": false")
+                         : "";
+    ASSERT_TRUE(client.send_raw(http_request(method, target, body)));
+    ASSERT_TRUE(client.read_reply(reply)) << target;
     EXPECT_EQ(reply.status, 404) << target;
     const auto doc = io::json_parse(reply.body);
-    EXPECT_EQ(doc.at("error").at("code").as_string(), "not_found");
+    EXPECT_EQ(doc.at("error").at("code").as_string(), "not_found") << target;
     EXPECT_NE(doc.at("error").at("message").as_string().find(
-                  "unsupported API version"),
-              std::string::npos);
+                  "served under /v1"),
+              std::string::npos)
+        << target;
   }
 
-  // Method checks apply to /v1 routes the same way.
+  // Method checks apply to /v1 routes.
   ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/predict")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 405);
@@ -693,6 +735,11 @@ TEST(HttpServe, V1PrefixAndBareAliasesAnswerAlike) {
   EXPECT_NE(io::json_parse(reply.body).at("error").at("message").as_string().find(
                 "jobs API disabled"),
             std::string::npos);
+
+  // The bare POST /predict never reached the service.
+  client.close();
+  h.shutdown();
+  EXPECT_EQ(h.service.stats().requests, 1u);
 }
 
 // --- jobs over HTTP ----------------------------------------------------------
@@ -894,19 +941,19 @@ TEST(HttpServe, RequestIdEchoedAndGenerated) {
 
   // A client-supplied X-Request-Id echoes back verbatim on every endpoint.
   ASSERT_TRUE(client.send_raw(http_request(
-      "GET", "/healthz", "", "X-Request-Id: cli-42\r\n")));
+      "GET", "/v1/healthz", "", "X-Request-Id: cli-42\r\n")));
   ASSERT_TRUE(client.read_reply(reply));
   ASSERT_NE(reply.header("X-Request-Id"), nullptr);
   EXPECT_EQ(*reply.header("X-Request-Id"), "cli-42");
 
   ASSERT_TRUE(client.send_raw(http_request(
-      "GET", "/stats", "", "X-Request-Id: cli-43\r\n")));
+      "GET", "/v1/stats", "", "X-Request-Id: cli-43\r\n")));
   ASSERT_TRUE(client.read_reply(reply));
   ASSERT_NE(reply.header("X-Request-Id"), nullptr);
   EXPECT_EQ(*reply.header("X-Request-Id"), "cli-43");
 
   ASSERT_TRUE(client.send_raw(http_request(
-      "POST", "/predict", predict_body(1, 2.5), "X-Request-Id: cli-44\r\n")));
+      "POST", "/v1/predict", predict_body(1, 2.5), "X-Request-Id: cli-44\r\n")));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 200);
   ASSERT_NE(reply.header("X-Request-Id"), nullptr);
@@ -914,12 +961,12 @@ TEST(HttpServe, RequestIdEchoedAndGenerated) {
 
   // Without the header the server generates one (r-<hex>-<n>), distinct per
   // request.
-  ASSERT_TRUE(client.send_raw(http_request("GET", "/healthz")));
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/healthz")));
   ASSERT_TRUE(client.read_reply(reply));
   ASSERT_NE(reply.header("X-Request-Id"), nullptr);
   const std::string first = *reply.header("X-Request-Id");
   EXPECT_EQ(first.rfind("r-", 0), 0u) << first;
-  ASSERT_TRUE(client.send_raw(http_request("GET", "/healthz")));
+  ASSERT_TRUE(client.send_raw(http_request("GET", "/v1/healthz")));
   ASSERT_TRUE(client.read_reply(reply));
   ASSERT_NE(reply.header("X-Request-Id"), nullptr);
   EXPECT_NE(*reply.header("X-Request-Id"), first);
@@ -934,7 +981,7 @@ TEST(HttpServe, MetricsEndpointServesPrometheusText) {
 
   // Drive one predict so the per-stage histograms have samples.
   ASSERT_TRUE(client.send_raw(
-      http_request("POST", "/predict", predict_body(5, 2.5))));
+      http_request("POST", "/v1/predict", predict_body(5, 2.5))));
   ASSERT_TRUE(client.read_reply(reply));
   EXPECT_EQ(reply.status, 200);
 
@@ -954,9 +1001,10 @@ TEST(HttpServe, MetricsEndpointServesPrometheusText) {
   EXPECT_NE(text.find("maps_serve_breaker_state{state=\"closed\"} 1"),
             std::string::npos);
 
-  // The bare alias answers too (same router family as /healthz | /stats).
+  // Only the /v1 route serves the page: the bare path is a 404.
   ASSERT_TRUE(client.send_raw(http_request("GET", "/metrics")));
   ASSERT_TRUE(client.read_reply(reply));
-  EXPECT_EQ(reply.status, 200);
-  EXPECT_NE(reply.body.find("maps_serve_requests_total"), std::string::npos);
+  EXPECT_EQ(reply.status, 404);
+  EXPECT_EQ(io::json_parse(reply.body).at("error").at("code").as_string(),
+            "not_found");
 }

@@ -335,6 +335,43 @@ TEST(Jobs, ResumedJobMatchesUninterruptedObjective) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Jobs, FailedCompactionKeepsTheJournal) {
+  FaultGuard guard("");
+  const std::string dir = scratch_dir("failed_compaction");
+  constexpr int kIterations = 24;
+
+  // Journal a few steps, then fail every manifest save: the drain's parking
+  // compaction cannot write the manifest, so it must not truncate the
+  // journal that holds the steps the submit-time manifest lacks.
+  std::string id;
+  int journaled = 0;
+  {
+    runtime::TaskQueue queue(2);
+    serve::JobsOptions options;
+    options.journal_dir = dir;
+    serve::JobManager jobs(queue, options);
+    id = jobs.submit(invdes_spec(kIterations));
+    wait_step(jobs, id, 3);
+    journaled = static_cast<int>(jobs.status(id).at("step").as_int());
+    fault::arm_from_spec("jobs.journal=io");
+    jobs.drain();
+  }
+  fault::disarm_all();
+  ASSERT_GE(journaled, 3);
+  ASSERT_LT(journaled, kIterations);
+
+  runtime::TaskQueue queue(2);
+  serve::JobsOptions options;
+  options.journal_dir = dir;
+  serve::JobManager jobs(queue, options);
+  EXPECT_EQ(jobs.resume_journaled(), 1);
+  EXPECT_GE(jobs.status(id).at("step").as_int(), journaled);
+  const io::JsonValue status = wait_terminal(jobs, id);
+  EXPECT_EQ(status.at("state").as_string(), "done");
+  EXPECT_EQ(status.at("step").as_int(), kIterations);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Jobs, CancelledAndQueuedStatesSurviveRestart) {
   FaultGuard guard("");
   const std::string dir = scratch_dir("restart_states");

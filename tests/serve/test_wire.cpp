@@ -1,19 +1,13 @@
-// Wire protocol + front ends: request parsing (with a seeded fuzz corpus),
-// reply encoding, the ndjson stream loop and the TCP socket mode.
+// Wire protocol + the stdio front end: request parsing (with a seeded fuzz
+// corpus), reply encoding and the ndjson stream loop.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "../json_mutants.hpp"
 #include "math/rng.hpp"
@@ -156,48 +150,6 @@ TEST(Wire, ServeStreamAnswersInOrderAndSurvivesBadLines) {
 
   const auto stats = serve::stats_to_json(service.stats());
   EXPECT_EQ(stats.at("requests").as_int(), 3);  // the bad line never reached it
-}
-
-TEST(Wire, TcpModeServesAConnection) {
-  serve::PredictionService service(tiny_registry(), [] {
-    serve::ServeOptions o;
-    o.workers = 1;
-    return o;
-  }());
-  const auto defaults = test_defaults();
-
-  std::atomic<int> port{0};
-  std::thread server([&] {
-    serve::serve_tcp(service, defaults, /*port=*/0, nullptr,
-                     /*max_connections=*/1, &port);
-  });
-  while (port.load() == 0) std::this_thread::yield();
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port.load()));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-
-  const std::string line = request_line(9, 2.0, ", \"return_field\": false") + "\n";
-  ASSERT_EQ(::write(fd, line.data(), line.size()),
-            static_cast<ssize_t>(line.size()));
-  ::shutdown(fd, SHUT_WR);
-
-  std::string reply;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) reply.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  server.join();
-
-  ASSERT_FALSE(reply.empty());
-  const auto doc = io::json_parse(reply.substr(0, reply.find('\n')));
-  EXPECT_TRUE(doc.at("ok").as_bool());
-  EXPECT_EQ(doc.at("id").as_int(), 9);
-  EXPECT_EQ(doc.at("source").as_string(), "surrogate");
 }
 
 TEST(Wire, ParseDeadline) {

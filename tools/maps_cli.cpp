@@ -49,12 +49,13 @@ int usage() {
       "                                    execute a config (task: datagen|train|invdes);\n"
       "                                    --shard/--resume select a datagen shard slice\n"
       "  maps_cli merge <config.json>      merge a sharded datagen run into its output\n"
-      "  maps_cli serve <config.json> [--port N] [--http] [--bind ADDR]\n"
+      "  maps_cli serve <config.json> [--http [--port N] [--bind ADDR]]\n"
       "                               [--jobs-dir DIR] [--log-level LEVEL]\n"
       "                                    run the prediction server: ndjson requests\n"
-      "                                    on stdin -> replies on stdout (or TCP with\n"
-      "                                    --port, or HTTP/1.1 with --http); --bind\n"
-      "                                    sets the listen address (default loopback);\n"
+      "                                    on stdin -> replies on stdout, or HTTP/1.1\n"
+      "                                    with --http; --port sets its port (default\n"
+      "                                    a free one), --bind its listen address\n"
+      "                                    (default loopback);\n"
       "                                    --jobs-dir mounts the /v1/jobs API with its\n"
       "                                    crash-safe journal in DIR (HTTP only);\n"
       "                                    --log-level sets the structured-log\n"

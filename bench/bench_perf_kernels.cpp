@@ -1,7 +1,9 @@
 // google-benchmark microbenchmarks for the numerical substrates: the
-// split-complex banded LU every direct solve runs (plus one factorization of
-// the BandMatrix<cplx> reference it replaced), FDFD assembly, GEMM, spectral/standard convolution (direct reference
-// vs im2col+GEMM), blur, mode solver, and an end-to-end NN training step.
+// complex-symmetric band LDL^T every direct solve runs (double and fp32, plus
+// one factorization of the pivoted BandMatrix<cplx> LU reference), FDFD
+// assembly (CSR and straight into the band), GEMM, spectral/standard
+// convolution (direct reference vs im2col+GEMM), blur, mode solver, and an
+// end-to-end NN training step.
 #include <benchmark/benchmark.h>
 
 #include "fdfd/assembler.hpp"
@@ -55,11 +57,29 @@ static void BM_FdfdAssemble(benchmark::State& state) {
 }
 BENCHMARK(BM_FdfdAssemble)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
-static void BM_BandedFactorize(benchmark::State& state) {
+static void BM_FdfdAssembleBanded(benchmark::State& state) {
+  // The direct solver's assembly: the lower band of W·A straight into the
+  // LDL^T kernel's storage, no CSR.
   const index_t n = state.range(0);
-  const auto op = make_op(n);
+  grid::GridSpec spec{n, n, 0.1};
+  math::RealGrid eps(n, n, 6.0);
+  fdfd::PmlSpec pml;
+  pml.ncells = static_cast<int>(n / 8);
   for (auto _ : state) {
-    auto band = math::to_split_band(op.A);
+    benchmark::DoNotOptimize(fdfd::assemble_banded_t<double>(spec, eps, 4.05, pml));
+  }
+}
+BENCHMARK(BM_FdfdAssembleBanded)->Arg(64)->Unit(benchmark::kMillisecond);
+
+static void BM_BandedFactorize(benchmark::State& state) {
+  // The production kernel: LDL^T of S = W·A. Each iteration copies the
+  // assembled band into the same storage (no allocation or page faults in
+  // the timing) and factorizes it.
+  const index_t n = state.range(0);
+  const auto s = fdfd::symmetric_band_t<double>(make_op(n));
+  auto band = s;
+  for (auto _ : state) {
+    band = s;
     band.factorize();
     benchmark::DoNotOptimize(band);
   }
@@ -67,29 +87,51 @@ static void BM_BandedFactorize(benchmark::State& state) {
 BENCHMARK(BM_BandedFactorize)->Arg(32)->Arg(64)->Arg(96)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
-static void BM_BandedFactorizeReference(benchmark::State& state) {
-  // The same conversion + factorization on the interleaved BandMatrix<cplx>
-  // reference the split kernel is tested against. This over
-  // BM_BandedFactorize is the band_factorize_split_vs_reference CI gate.
+static void BM_BandedFactorizeF(benchmark::State& state) {
+  // The mixed-precision path's fp32 LDL^T of the same S.
   const index_t n = state.range(0);
-  const auto op = make_op(n);
+  const auto s = fdfd::symmetric_band_t<float>(make_op(n));
+  auto band = s;
   for (auto _ : state) {
-    auto band = math::to_band(op.A);
+    band = s;
+    band.factorize();
+    benchmark::DoNotOptimize(band);
+  }
+}
+BENCHMARK(BM_BandedFactorizeF)->Arg(64)->Unit(benchmark::kMillisecond);
+
+static void BM_BandedFactorizeReference(benchmark::State& state) {
+  // Pivoted LU of the same operator on the interleaved BandMatrix<cplx>
+  // reference the LDL^T kernel is tested against. This over
+  // BM_BandedFactorize is the band_factorize_ldlt_vs_reference CI gate.
+  const index_t n = state.range(0);
+  const auto ref = math::to_band(make_op(n).A);
+  auto band = ref;
+  for (auto _ : state) {
+    band = ref;
     band.factorize();
     benchmark::DoNotOptimize(band);
   }
 }
 BENCHMARK(BM_BandedFactorizeReference)->Arg(64)->Unit(benchmark::kMillisecond);
 
+namespace {
+
+math::SymBandLdlt factorized_s(index_t n) {
+  auto s = fdfd::symmetric_band_t<double>(make_op(n));
+  s.factorize();
+  return s;
+}
+
+}  // namespace
+
 static void BM_BandedTriangularSolve(benchmark::State& state) {
   const index_t n = state.range(0);
-  const auto op = make_op(n);
-  auto band = math::to_split_band(op.A);
-  band.factorize();
+  const auto band = factorized_s(n);
   const std::vector<cplx> b(static_cast<std::size_t>(n * n), cplx{1.0, 0.5});
   for (auto _ : state) {
-    auto x = b;
-    band.solve_inplace(x);
+    std::vector<std::vector<cplx>> x(1, b);
+    band.solve_multi_inplace(x);
     benchmark::DoNotOptimize(x);
   }
 }
@@ -99,14 +141,12 @@ static void BM_BandedSolveLoop8(benchmark::State& state) {
   // 8 independent solve passes, each streaming the full band array: the
   // per-RHS path the multi-RHS sweep below replaces.
   const index_t n = state.range(0);
-  const auto op = make_op(n);
-  auto band = math::to_split_band(op.A);
-  band.factorize();
+  const auto band = factorized_s(n);
   const auto bs = random_rhs8(n);
   for (auto _ : state) {
     for (const auto& b : bs) {
-      auto x = b;
-      band.solve_inplace(x);
+      std::vector<std::vector<cplx>> x(1, b);
+      band.solve_multi_inplace(x);
       benchmark::DoNotOptimize(x);
     }
   }
@@ -117,9 +157,7 @@ static void BM_BandedSolveMulti8(benchmark::State& state) {
   // The batched kernel: one sweep over the factors applied to all 8 RHS.
   // BM_BandedSolveLoop8 over this is the band_multi8_vs_loop8 CI gate.
   const index_t n = state.range(0);
-  const auto op = make_op(n);
-  auto band = math::to_split_band(op.A);
-  band.factorize();
+  const auto band = factorized_s(n);
   const auto bs = random_rhs8(n);
   for (auto _ : state) {
     auto work = bs;

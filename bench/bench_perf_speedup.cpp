@@ -68,7 +68,7 @@ static void BM_FdfdFullSolve(benchmark::State& state) {
 BENCHMARK(BM_FdfdFullSolve)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 static void BM_FdfdFullSolveMixed(benchmark::State& state) {
-  // The same full solve on SolverPrecision::Mixed: fp32 split-complex
+  // The same full solve on SolverPrecision::Mixed: fp32 LDL^T
   // factorization + iterative refinement to double accuracy. The ratio of
   // BM_FdfdFullSolve to this is the mixed-precision speedup the CI perf
   // gate tracks as fdfd_mixed_vs_double.
@@ -193,7 +193,7 @@ static void BM_InvdesStep(benchmark::State& state) {
   // One adjoint inverse-design iteration on the bend device: forward solves
   // for every excitation group plus one transposed (adjoint) batch, all
   // against one factorization per group — the direct-solve-dominated hot
-  // loop of MAPS-InvDes, riding the split-complex kernel end to end.
+  // loop of MAPS-InvDes, riding the LDL^T kernel end to end.
   const auto device = devices::make_device(devices::DeviceKind::Bend);
   const auto theta0 = invdes::make_initial_theta(device, invdes::InitKind::PathSeed);
   invdes::InvDesOptions options;

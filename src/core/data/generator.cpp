@@ -124,7 +124,7 @@ PreparedPattern prepare_pattern(const devices::DeviceProblem& device,
   for (const auto& group : pp.groups) {
     const auto& first = device.excitations[group.front()];
     const RealGrid eps = device.excitation_eps(pp.base_eps, first);
-    // Direct backends take the split-complex band-direct path by default, so
+    // Direct backends take the LDL^T band-direct path by default, so
     // one make_backend call covers every solver kind.
     std::shared_ptr<solver::SolverBackend> backend =
         solver::make_backend(device.spec, eps, first.omega, device.sim_options.pml,

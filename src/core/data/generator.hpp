@@ -4,7 +4,7 @@
 //
 // generate_dataset / generate_multifidelity ride the async pipeline in
 // src/runtime/datagen.hpp (stage-parallel prep -> solve -> collect, with the
-// split-complex prepared-operator fast path for direct solves). The seed
+// LDL^T prepared-operator fast path for direct solves). The seed
 // per-pattern parallel_for implementation is preserved as
 // generate_dataset_reference for equivalence tests and as the baseline of
 // bench_datagen_throughput.
@@ -24,7 +24,7 @@ Dataset generate_dataset(const devices::DeviceProblem& device,
                          const PatternSet& patterns);
 
 /// The seed implementation (blocking parallel_for over simulate_pattern on
-/// the same split-complex direct solver): kept as the regression baseline
+/// the same LDL^T direct solver): kept as the regression baseline
 /// the pipelined path is benchmarked against. Labels agree with
 /// generate_dataset to rounding (~1e-12 relative on fields).
 Dataset generate_dataset_reference(const devices::DeviceProblem& device,
@@ -37,7 +37,7 @@ Dataset generate_dataset_reference(const devices::DeviceProblem& device,
 
 /// Stage 1 output: the pattern rendered onto the device grid plus one
 /// *factorized* solver backend per excitation group. Direct-solver devices
-/// ride the split-complex band-direct kernel, which is the default
+/// ride the LDL^T band-direct kernel, which is the default
 /// DirectBandedBackend path (solver/direct.hpp).
 struct PreparedPattern {
   std::size_t position = 0;   // index into the PatternSet

@@ -43,7 +43,7 @@ struct ExcitationResult {
 struct DeviceEval {
   double fom = 0.0;  // sum over excitations of weight * objective
   std::vector<ExcitationResult> per_excitation;
-  int factorizations = 0;  // LU factorizations this evaluation performed
+  int factorizations = 0;  // factorizations this evaluation performed
   int solves = 0;          // linear solves this evaluation performed
 };
 

@@ -11,8 +11,11 @@
 // surrogates ("adj src" in Fig. 3), and it is exported here both ways.
 //
 // The adjoint consumes the same solver backend as the forward solve (one
-// factorization serves both directions), and the batched entry point pushes
-// every adjoint system of a device through one multi-RHS transposed solve.
+// factorization serves both directions): the direct backend factorizes
+// S = W·A = L D L^T and answers A^T lambda = g as lambda = W S^{-1} g, the
+// same sweep that answers forward solves, so there is no transposed sweep.
+// The batched entry point pushes every adjoint system of a device through
+// one multi-RHS solve_transposed_batch.
 #pragma once
 
 #include "fdfd/objective.hpp"

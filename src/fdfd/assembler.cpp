@@ -1,5 +1,7 @@
 #include "fdfd/assembler.hpp"
 
+#include <limits>
+
 namespace maps::fdfd {
 
 using maps::math::Triplet;
@@ -65,10 +67,10 @@ BandedOperatorT<T> assemble_banded_t(const grid::GridSpec& spec,
   const StretchProfile sy = make_stretch(ny, spec.dl, omega, pml);
 
   BandedOperatorT<T> op;
-  // Natural ordering couples n to n±1 and n±nx; a single-row grid only
-  // needs the i neighbors.
+  // Natural ordering couples n to n-1 and n-nx below the diagonal; a
+  // single-row grid only needs the i neighbor.
   const index_t bw = ny > 1 ? nx : 1;
-  op.AB = maps::math::SplitBandMatrixT<T>(nx * ny, bw, bw);
+  op.S = maps::math::SymBandLdltT<T>(nx * ny, bw);
   op.W.resize(static_cast<std::size_t>(nx * ny));
   op.omega = omega;
   op.spec = spec;
@@ -80,7 +82,8 @@ BandedOperatorT<T> assemble_banded_t(const grid::GridSpec& spec,
       const index_t n = flat(i, j);
       const cplx scx = sx.centers[static_cast<std::size_t>(i)];
       const cplx scy = sy.centers[static_cast<std::size_t>(j)];
-      op.W[static_cast<std::size_t>(n)] = scx * scy;
+      const cplx w = scx * scy;
+      op.W[static_cast<std::size_t>(n)] = w;
 
       const cplx ce = cplx{1.0} / (dl2 * scx * sx.edges[static_cast<std::size_t>(i) + 1]);
       const cplx cw = cplx{1.0} / (dl2 * scx * sx.edges[static_cast<std::size_t>(i)]);
@@ -88,20 +91,53 @@ BandedOperatorT<T> assemble_banded_t(const grid::GridSpec& spec,
       const cplx cs = cplx{1.0} / (dl2 * scy * sy.edges[static_cast<std::size_t>(j)]);
 
       cplx diag = -(ce + cw + cn + cs) + omega * omega * eps(i, j);
-      if (i + 1 < nx) op.AB.set(n, flat(i + 1, j), ce);
-      if (i > 0) op.AB.set(n, flat(i - 1, j), cw);
-      if (j + 1 < ny) op.AB.set(n, flat(i, j + 1), cn);
-      if (j > 0) op.AB.set(n, flat(i, j - 1), cs);
-      op.AB.set(n, n, diag);
+      if (i > 0) op.S.set(n, flat(i - 1, j), w * cw);
+      if (j > 0) op.S.set(n, flat(i, j - 1), w * cs);
+      op.S.set(n, n, w * diag);
     }
   }
   return op;
+}
+
+template <typename T>
+maps::math::SymBandLdltT<T> symmetric_band_t(const FdfdOperator& op) {
+  const auto& A = op.A;
+  const index_t n = A.rows();
+  maps::require(A.cols() == n && static_cast<index_t>(op.W.size()) == n,
+                "symmetric_band: operator and W do not match");
+  maps::math::SymBandLdltT<T> S(n, A.bandwidth());
+  auto row_entries = [&](index_t r, auto&& fn) {
+    for (index_t k = A.row_ptr()[static_cast<std::size_t>(r)];
+         k < A.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
+      fn(A.col_idx()[static_cast<std::size_t>(k)],
+         op.W[static_cast<std::size_t>(r)] * A.values()[static_cast<std::size_t>(k)]);
+    }
+  };
+  for (index_t r = 0; r < n; ++r) {
+    row_entries(r, [&](index_t c, cplx v) {
+      if (c <= r) S.set(r, c, v);
+    });
+  }
+  // Each upper entry must mirror its stored lower partner, or the LDL^T
+  // factors would answer for a different matrix.
+  const double tol = 64.0 * std::numeric_limits<T>::epsilon();
+  for (index_t r = 0; r < n; ++r) {
+    row_entries(r, [&](index_t c, cplx v) {
+      if (c > r) {
+        maps::require(std::abs(S.get(c, r) - v) <= tol * std::abs(v),
+                      "symmetric_band: W·A is not symmetric");
+      }
+    });
+  }
+  return S;
 }
 
 template BandedOperatorT<double> assemble_banded_t<double>(
     const grid::GridSpec&, const maps::math::RealGrid&, double, const PmlSpec&);
 template BandedOperatorT<float> assemble_banded_t<float>(
     const grid::GridSpec&, const maps::math::RealGrid&, double, const PmlSpec&);
+template maps::math::SymBandLdltT<double> symmetric_band_t<double>(const FdfdOperator&);
+template maps::math::SymBandLdltT<float> symmetric_band_t<float>(const FdfdOperator&);
 
 std::vector<cplx> rhs_from_current(const maps::math::CplxGrid& J, double omega) {
   std::vector<cplx> b(static_cast<std::size_t>(J.size()));

@@ -8,10 +8,12 @@
 // on a uniform Yee grid with Dirichlet exterior, flattening n = i + nx*j.
 //
 // The assembler also exposes the diagonal row scaling W (w_n = sc_x(i)*sc_y(j))
-// that symmetrizes the operator: W*A = (W*A)^T. MAPS uses this to express the
-// adjoint solve A^T lambda = g as the *forward* solve A (W^{-1} lambda) =
-// W^{-1} g, which is what lets a forward-field neural surrogate predict
-// adjoint fields (paper Fig. 3, "adj src").
+// that symmetrizes the operator: S = W*A = (W*A)^T. The direct solver
+// assembles the lower band of W·A and factorizes S = L D L^T, so forward and
+// adjoint solves share one kernel. MAPS also uses W to express the adjoint
+// solve A^T lambda = g as the *forward* solve A (W^{-1} lambda) = W^{-1} g,
+// which is what lets a forward-field neural surrogate predict adjoint fields
+// (paper Fig. 3, "adj src").
 #pragma once
 
 #include "fdfd/pml.hpp"
@@ -34,45 +36,43 @@ struct FdfdOperator {
 FdfdOperator assemble(const grid::GridSpec& spec, const maps::math::RealGrid& eps,
                       double omega, const PmlSpec& pml);
 
-/// The same operator assembled directly into split-complex band storage
-/// (kl = ku = nx under the natural n = i + nx*j ordering), skipping the
-/// triplet -> CSR -> band conversion chain. This is the prepared-operator
-/// fast path of the dataset-generation runtime: coefficient arithmetic is
-/// identical to assemble(), so the banded system equals
-/// to_split_band(assemble().A) entry-for-entry; only W and the band are produced (no CSR A).
+/// The lower band of S = W·A, assembled straight into the LDL^T kernel's
+/// storage (math::SymBandLdltT, kl = nx under the natural n = i + nx*j
+/// ordering, 1 on a single-row grid). This is the direct solver's operator:
+/// solver::DirectBandedBackend factorizes S and solves forward and adjoint
+/// systems through it. Coefficient arithmetic is identical to assemble();
+/// each stored entry is W_n times the A(n, m), m <= n, that assemble()
+/// produces, rounded to T at the store. No CSR A is built.
 ///
-/// The band scalar T is a template parameter so the mixed-precision solver
-/// path (solver::SolverPrecision::Mixed) assembles straight into fp32 band
-/// storage: coefficient arithmetic stays double (identical stretch/coupling
-/// values), only the final store rounds to T — the same rounding a
-/// double-assemble + convert would produce, without ever allocating or
-/// writing the double-sized band.
+/// T = float is the mixed-precision path (solver::SolverPrecision::Mixed):
+/// the double-sized band is never allocated or written.
 template <typename T>
 struct BandedOperatorT {
-  maps::math::SplitBandMatrixT<T> AB;
+  maps::math::SymBandLdltT<T> S;    // lower band of W·A
   std::vector<cplx> W;              // symmetrizing row scale, size N
   double omega = 0.0;
   grid::GridSpec spec;
 };
-
-using BandedOperator = BandedOperatorT<double>;
-using BandedOperatorF = BandedOperatorT<float>;
 
 template <typename T>
 BandedOperatorT<T> assemble_banded_t(const grid::GridSpec& spec,
                                      const maps::math::RealGrid& eps, double omega,
                                      const PmlSpec& pml);
 
+/// The same lower band of S = W·A from an already-assembled operator (the TE
+/// operator, or any FdfdOperator handed to DirectBandedBackend). Throws
+/// MapsError when W·A is not symmetric to rounding.
+template <typename T>
+maps::math::SymBandLdltT<T> symmetric_band_t(const FdfdOperator& op);
+
 extern template BandedOperatorT<double> assemble_banded_t<double>(
     const grid::GridSpec&, const maps::math::RealGrid&, double, const PmlSpec&);
 extern template BandedOperatorT<float> assemble_banded_t<float>(
     const grid::GridSpec&, const maps::math::RealGrid&, double, const PmlSpec&);
-
-inline BandedOperator assemble_banded(const grid::GridSpec& spec,
-                                      const maps::math::RealGrid& eps, double omega,
-                                      const PmlSpec& pml) {
-  return assemble_banded_t<double>(spec, eps, omega, pml);
-}
+extern template maps::math::SymBandLdltT<double> symmetric_band_t<double>(
+    const FdfdOperator&);
+extern template maps::math::SymBandLdltT<float> symmetric_band_t<float>(
+    const FdfdOperator&);
 
 /// Right-hand side from a current source: b = -i omega J.
 std::vector<cplx> rhs_from_current(const maps::math::CplxGrid& J, double omega);

@@ -96,7 +96,7 @@ class Simulation {
   /// Convenience: solve + derive.
   Fields run(const maps::math::CplxGrid& J) { return derive_fields(solve(J)); }
 
-  /// Number of LU factorizations performed by the backend (perf accounting in
+  /// Number of factorizations performed by the backend (perf accounting in
   /// benches; cumulative across Simulations sharing a cached backend).
   int factorization_count() const { return backend_->factorization_count(); }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "math/bicgstab.hpp"
 #include "math/csr.hpp"
 
 namespace maps::fdfd {
@@ -74,30 +73,18 @@ FdfdOperator assemble_te(const grid::GridSpec& spec, const RealGrid& eps,
 TeSimulation::TeSimulation(grid::GridSpec spec, RealGrid eps, double omega,
                            PmlSpec pml)
     : spec_(spec), eps_(std::move(eps)), omega_(omega), pml_(pml),
-      op_(assemble_te(spec_, eps_, omega_, pml_)) {}
-
-void TeSimulation::ensure_factorized() {
-  if (split_) return;
-  split_ = maps::math::to_split_band(op_.A);
-  split_->factorize();
-}
+      backend_(assemble_te(spec_, eps_, omega_, pml_)) {}
 
 CplxGrid TeSimulation::solve(const CplxGrid& Mz) {
   maps::require(Mz.nx() == spec_.nx && Mz.ny() == spec_.ny,
                 "TeSimulation::solve: source shape mismatch");
-  ensure_factorized();
-  std::vector<cplx> x = rhs_from_current(Mz, omega_);
-  split_->solve_inplace(x);
-  return CplxGrid(spec_.nx, spec_.ny, std::move(x));
+  return CplxGrid(spec_.nx, spec_.ny, backend_.solve(rhs_from_current(Mz, omega_)));
 }
 
 CplxGrid TeSimulation::solve_transposed(const std::vector<cplx>& rhs) {
   maps::require(static_cast<index_t>(rhs.size()) == spec_.cells(),
                 "TeSimulation::solve_transposed: rhs size mismatch");
-  ensure_factorized();
-  std::vector<cplx> x = rhs;
-  split_->solve_transposed_inplace(x);
-  return CplxGrid(spec_.nx, spec_.ny, std::move(x));
+  return CplxGrid(spec_.nx, spec_.ny, backend_.solve_transposed(rhs));
 }
 
 TeFields TeSimulation::derive_fields(CplxGrid Hz) const {

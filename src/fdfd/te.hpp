@@ -12,20 +12,19 @@
 // from the TM case (where eps sits on the diagonal) and verified against
 // finite differences in the tests.
 //
-// The same row scaling W = sc_x sc_y symmetrizes the operator, so adjoint
-// solves reuse the transposed-LU path.
+// The same row scaling W = sc_x sc_y symmetrizes the operator, so
+// TeSimulation solves through solver::DirectBandedBackend like the TM path:
+// one LDL^T factorization of W·A answers forward and adjoint systems, with
+// the backend's precision policy, guard and metrics.
 #pragma once
-
-#include <memory>
-#include <optional>
 
 #include "fdfd/assembler.hpp"
 #include "fdfd/objective.hpp"
 #include "fdfd/pml.hpp"
 #include "fdfd/port.hpp"
 #include "grid/yee_grid.hpp"
-#include "math/banded_split.hpp"
 #include "math/field2d.hpp"
+#include "solver/direct.hpp"
 
 namespace maps::fdfd {
 
@@ -48,12 +47,12 @@ class TeSimulation {
   const grid::GridSpec& spec() const { return spec_; }
   const maps::math::RealGrid& eps() const { return eps_; }
   double omega() const { return omega_; }
-  const FdfdOperator& op() const { return op_; }
+  const FdfdOperator& op() const { return backend_.op(); }
   const PmlSpec& pml_spec() const { return pml_; }
 
   /// Solve A Hz = -i omega Mz.
   maps::math::CplxGrid solve(const maps::math::CplxGrid& Mz);
-  /// Solve A^T x = rhs (adjoint systems; shares the LU factors).
+  /// Solve A^T x = rhs (adjoint systems; shares the forward factors).
   maps::math::CplxGrid solve_transposed(const std::vector<cplx>& rhs);
 
   /// Derive the in-plane electric field from Hz.
@@ -61,15 +60,12 @@ class TeSimulation {
   TeFields run(const maps::math::CplxGrid& Mz) { return derive_fields(solve(Mz)); }
 
  private:
-  void ensure_factorized();
-
   grid::GridSpec spec_;
   maps::math::RealGrid eps_;
   double omega_;
   PmlSpec pml_;
-  FdfdOperator op_;
-  // Split-complex banded LU, factorized on the first solve.
-  std::optional<maps::math::SplitBandMatrix> split_;
+  // Owns the TE operator and its factors (factorized on the first solve).
+  solver::DirectBandedBackend backend_;
 };
 
 /// Quadratic intensity objective T = sum_n w_n |Hz_n|^2 / norm over a box

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace maps::math {
 
 namespace {
 
 /// out = sum_t (a[t] * x[t]) over split factor storage: the gather-reduction
-/// core of the transposed solves. Four independent accumulator pairs break
+/// core of the fused D/L^T sweep. Four independent accumulator pairs break
 /// the floating-point add dependency chain — a single chained accumulator
-/// runs at FMA *latency* per element (~4x slower than the complex BandMatrix
-/// reference); spread across four chains the loop runs at FMA throughput.
-/// Accumulation is always double; fp32 factor loads widen on the fly.
+/// runs at FMA *latency* per element; spread across four chains the loop
+/// runs at FMA throughput. Accumulation is always double; fp32 factor loads
+/// widen on the fly.
 template <typename T>
 inline void dot_accum(const T* __restrict ar, const T* __restrict ai,
                       const cplx* __restrict x, std::size_t len, double& out_r,
@@ -39,15 +40,10 @@ inline void dot_accum(const T* __restrict ar, const T* __restrict ai,
 }
 
 /// b[t] -= (ar[t] + i ai[t]) * (br + i bi) for t in [0, len): the scatter
-/// counterpart of dot_accum, shared by the forward solves' L-application and
-/// back-substitution loops. Unlike the transposed gather, every update here
-/// targets a distinct element — there is no floating-point dependency chain
-/// for multiple accumulators to break — so the dot_accum treatment was
-/// measured to buy nothing (and a 4-wide manual unroll regressed the
-/// multi-RHS sweep ~30%; see the notes in BENCH_kernels.json). This
-/// restrict-qualified split-load form performs at parity with the complex-
-/// arithmetic loop it replaces and keeps the scatter in one place. Per-
-/// element operations and order are unchanged: results stay bit-identical.
+/// core of the forward L sweep. Every update targets a distinct element, so
+/// there is no dependency chain for multiple accumulators to break (a 4-wide
+/// manual unroll regressed the multi-RHS sweep ~30%); the restrict-qualified
+/// split-load form vectorizes as is.
 template <typename T>
 inline void axpy_scatter(const T* __restrict ar, const T* __restrict ai,
                          double br, double bi, cplx* __restrict b,
@@ -60,301 +56,214 @@ inline void axpy_scatter(const T* __restrict ar, const T* __restrict ai,
   }
 }
 
-}  // namespace
+/// Columns per panel of factorize(): each trailing entry is loaded and stored
+/// once per kPanel eliminated columns.
+constexpr index_t kPanel = 4;
 
+/// t[i] -= sum_{q < 4} v_q[i] * a_q for i in [0, len), with v_q = v + q*stride:
+/// the rank-4 panel update of one trailing column in factorize(). Function
+/// parameters carry the restrict qualifiers, so the loop vectorizes without
+/// the runtime alias checks ten pointers would need.
 template <typename T>
-SplitBandMatrixT<T>::SplitBandMatrixT(index_t n, index_t kl, index_t ku)
-    : n_(n), kl_(kl), ku_(ku), ldab_(2 * kl + ku + 1) {
-  require(n > 0 && kl >= 0 && ku >= 0, "SplitBandMatrix: invalid shape");
-  require(kl < n && ku < n, "SplitBandMatrix: band exceeds dimension");
-  const std::size_t cells = static_cast<std::size_t>(ldab_) * static_cast<std::size_t>(n_);
-  re_.assign(cells, T(0));
-  im_.assign(cells, T(0));
-  ipiv_.assign(static_cast<std::size_t>(n_), 0);
-}
-
-template <typename T>
-template <typename U>
-SplitBandMatrixT<T>::SplitBandMatrixT(const SplitBandMatrixT<U>& other)
-    : n_(other.n_), kl_(other.kl_), ku_(other.ku_), ldab_(other.ldab_),
-      ipiv_(other.ipiv_) {
-  require(!other.factorized_,
-          "SplitBandMatrix: cannot precision-convert factorized storage");
-  re_.resize(other.re_.size());
-  im_.resize(other.im_.size());
-  for (std::size_t t = 0; t < re_.size(); ++t) {
-    re_[t] = static_cast<T>(other.re_[t]);
-    im_[t] = static_cast<T>(other.im_[t]);
+inline void panel_update(T* __restrict tr, T* __restrict ti, const T* __restrict vr,
+                         const T* __restrict vi, std::size_t stride,
+                         const T (&ar)[kPanel], const T (&ai)[kPanel], std::size_t len) {
+  const T a0r = ar[0], a0i = ai[0], a1r = ar[1], a1i = ai[1];
+  const T a2r = ar[2], a2i = ai[2], a3r = ar[3], a3i = ai[3];
+  const T* v1r = vr + stride;
+  const T* v1i = vi + stride;
+  const T* v2r = v1r + stride;
+  const T* v2i = v1i + stride;
+  const T* v3r = v2r + stride;
+  const T* v3i = v2i + stride;
+  for (std::size_t t = 0; t < len; ++t) {
+    T sr = tr[t], si = ti[t];
+    sr -= vr[t] * a0r;
+    sr += vi[t] * a0i;
+    si -= vr[t] * a0i;
+    si -= vi[t] * a0r;
+    sr -= v1r[t] * a1r;
+    sr += v1i[t] * a1i;
+    si -= v1r[t] * a1i;
+    si -= v1i[t] * a1r;
+    sr -= v2r[t] * a2r;
+    sr += v2i[t] * a2i;
+    si -= v2r[t] * a2i;
+    si -= v2i[t] * a2r;
+    sr -= v3r[t] * a3r;
+    sr += v3i[t] * a3i;
+    si -= v3r[t] * a3i;
+    si -= v3i[t] * a3r;
+    tr[t] = sr;
+    ti[t] = si;
   }
 }
 
+}  // namespace
+
 template <typename T>
-void SplitBandMatrixT<T>::set(index_t i, index_t j, cplx v) {
-  require(i >= 0 && i < n_ && j >= 0 && j < n_, "SplitBandMatrix::set: out of range");
-  require(i - j <= kl_ && j - i <= ku_, "SplitBandMatrix::set: outside band");
-  require(!factorized_, "SplitBandMatrix::set: matrix already factorized");
+SymBandLdltT<T>::SymBandLdltT(index_t n, index_t kl) : n_(n), kl_(kl) {
+  require(n > 0 && kl >= 0, "SymBandLdlt: invalid shape");
+  require(kl < n, "SymBandLdlt: band exceeds dimension");
+  const std::size_t cells = static_cast<std::size_t>(kl + 1) * static_cast<std::size_t>(n);
+  re_.assign(cells, T(0));
+  im_.assign(cells, T(0));
+}
+
+template <typename T>
+void SymBandLdltT<T>::set(index_t i, index_t j, cplx v) {
+  require(i >= 0 && i < n_ && j >= 0 && j < n_, "SymBandLdlt::set: out of range");
+  require(i >= j && i - j <= kl_, "SymBandLdlt::set: outside the lower band");
+  require(!factorized_, "SymBandLdlt::set: matrix already factorized");
   re_[at(i, j)] = static_cast<T>(v.real());
   im_[at(i, j)] = static_cast<T>(v.imag());
 }
 
 template <typename T>
-cplx SplitBandMatrixT<T>::get(index_t i, index_t j) const {
-  require(i >= 0 && i < n_ && j >= 0 && j < n_, "SplitBandMatrix::get: out of range");
-  if (i - j > kl_ || j - i > ku_) return cplx{};
+cplx SymBandLdltT<T>::get(index_t i, index_t j) const {
+  require(i >= 0 && i < n_ && j >= 0 && j < n_, "SymBandLdlt::get: out of range");
+  if (i < j) std::swap(i, j);
+  if (i - j > kl_) return cplx{};
   return {static_cast<double>(re_[at(i, j)]), static_cast<double>(im_[at(i, j)])};
 }
 
-// xGBTF2 on split storage. Column j: pivot among the kl rows below the
-// diagonal (|re| + |im| magnitude, matching BandMatrix so the pivot sequence
-// is identical), swap rows across the affected columns, scale the
-// multipliers by 1/pivot, then rank-1 update the trailing window. The two
-// innermost loops run over contiguous scalar arrays — no complex arithmetic.
-// All elimination arithmetic stays in T (fp32 for the float instantiation —
-// that is where the 2x bandwidth/SIMD win of the mixed path comes from).
+// Right-looking band LDL^T in panels of kPanel columns. Inside a panel each
+// column first takes the updates of the panel columns before it, then is
+// checked (pivot d_p), copied unscaled into a zero-padded buffer
+// (v_p = S(., p)) and scaled in place to its multipliers l_p = v_p / d_p,
+// each checked against the growth bound. The panel then applies one rank-
+// kPanel update S(r, c) -= sum_p v_p(r) l_p(c) to the trailing window: every
+// trailing entry is loaded and stored once per panel instead of once per
+// column. The zero padding past each column's band edge keeps the innermost
+// loop a uniform run over plain scalar arrays. All elimination arithmetic
+// stays in T.
 template <typename T>
-void SplitBandMatrixT<T>::factorize() {
-  require(!factorized_, "SplitBandMatrix::factorize: already factorized");
-  index_t ju = 0;  // rightmost column touched by row interchanges so far
-
+void SymBandLdltT<T>::factorize() {
+  require(!factorized_, "SymBandLdlt::factorize: already factorized");
+  const std::size_t ld = static_cast<std::size_t>(kl_) + 1;
+  double diag_max = 0.0;
   for (index_t j = 0; j < n_; ++j) {
-    const index_t km = std::min(kl_, n_ - 1 - j);
-    const std::size_t d = at(j, j);
-    index_t jp = 0;
-    T best = std::abs(re_[d]) + std::abs(im_[d]);
-    for (index_t k = 1; k <= km; ++k) {
-      const T m = std::abs(re_[d + static_cast<std::size_t>(k)]) +
-                  std::abs(im_[d + static_cast<std::size_t>(k)]);
-      if (m > best) {
-        best = m;
-        jp = k;
-      }
-    }
-    ipiv_[static_cast<std::size_t>(j)] = j + jp;
-    if (best == T(0)) throw MapsError("SplitBandMatrix::factorize: singular matrix");
+    const std::size_t d = static_cast<std::size_t>(j) * ld;
+    diag_max = std::max(diag_max, std::hypot(static_cast<double>(re_[d]),
+                                             static_cast<double>(im_[d])));
+  }
+  const double pivot_floor = kLdltPivotFloor * diag_max;
+  const T bound2 = static_cast<T>(kLdltMultiplierBound * kLdltMultiplierBound);
+  // v_q[t] = S(j0 + t, j0 + q) before scaling, zero outside column q's band.
+  const auto span = static_cast<std::size_t>(kl_ + kPanel);
+  std::vector<T> vr(kPanel * span), vi(kPanel * span);
+  const auto col_r = [&](index_t j) { return re_.data() + static_cast<std::size_t>(j) * ld; };
+  const auto col_i = [&](index_t j) { return im_.data() + static_cast<std::size_t>(j) * ld; };
+  // Multiplier l(r, p) for r in (p, p + kl], else 0.
+  const auto multiplier = [&](index_t r, index_t p, T& ar, T& ai) {
+    const bool in_band = r - p <= std::min(kl_, n_ - 1 - p);
+    ar = in_band ? col_r(p)[r - p] : T(0);
+    ai = in_band ? col_i(p)[r - p] : T(0);
+  };
 
-    ju = std::max(ju, std::min(j + ku_ + jp, n_ - 1));
-    if (jp != 0) {
-      for (index_t col = j; col <= ju; ++col) {
-        std::swap(re_[at(j, col)], re_[at(j + jp, col)]);
-        std::swap(im_[at(j, col)], im_[at(j + jp, col)]);
-      }
-    }
-    if (km > 0) {
-      const T dr = re_[d], di = im_[d];
-      const T den = dr * dr + di * di;
-      if (den == T(0)) {
-        // fp32 can underflow a pivot whose |re| + |im| survived: |z|^2
-        // vanishes before |z| does. Refuse rather than divide by zero.
-        throw MapsError("SplitBandMatrix::factorize: pivot underflow");
-      }
-      const T pr = dr / den, pi = -di / den;  // 1 / pivot
-      T* __restrict mr = &re_[d];
-      T* __restrict mi = &im_[d];
-      for (index_t k = 1; k <= km; ++k) {
-        const T ar = mr[k], ai = mi[k];
-        mr[k] = ar * pr - ai * pi;
-        mi[k] = ar * pi + ai * pr;
-      }
-      for (index_t col = j + 1; col <= ju; ++col) {
-        const std::size_t c = at(j, col);
-        const T br = re_[c], bi = im_[c];
-        if (br != T(0) || bi != T(0)) {
-          T* __restrict cr = &re_[c];
-          T* __restrict ci = &im_[c];
-          for (index_t k = 1; k <= km; ++k) {
-            const T ar = mr[k], ai = mi[k];
-            cr[k] -= ar * br - ai * bi;
-            ci[k] -= ar * bi + ai * br;
-          }
+  for (index_t j0 = 0; j0 < n_; j0 += kPanel) {
+    const index_t b = std::min(kPanel, n_ - j0);
+    std::fill(vr.begin(), vr.end(), T(0));
+    std::fill(vi.begin(), vi.end(), T(0));
+    for (index_t q = 0; q < b; ++q) {
+      const index_t p = j0 + q;
+      const index_t km = std::min(kl_, n_ - 1 - p);
+      T* __restrict cr = col_r(p);
+      T* __restrict ci = col_i(p);
+      for (index_t q2 = 0; q2 < q; ++q2) {
+        T ar, ai;
+        multiplier(p, j0 + q2, ar, ai);
+        const T* __restrict ur = vr.data() + static_cast<std::size_t>(q2) * span + q;
+        const T* __restrict ui = vi.data() + static_cast<std::size_t>(q2) * span + q;
+        for (index_t t = 0; t <= km; ++t) {
+          cr[t] -= ur[t] * ar - ui[t] * ai;
+          ci[t] -= ur[t] * ai + ui[t] * ar;
         }
       }
+      const double dr = cr[0], di = ci[0];
+      const double dmag = std::hypot(dr, di);
+      // Negated compare: a NaN pivot fails it too.
+      if (!(dmag >= pivot_floor) || dmag == 0.0 || !std::isfinite(dmag)) {
+        throw MapsError("SymBandLdlt::factorize: pivot " + std::to_string(dmag) +
+                        " at column " + std::to_string(p) + " is below the guard " +
+                        std::to_string(pivot_floor));
+      }
+      const double den = dr * dr + di * di;
+      const T pr = static_cast<T>(dr / den), pi = static_cast<T>(-di / den);  // 1 / d_p
+      T* __restrict wr = vr.data() + static_cast<std::size_t>(q) * span + q;
+      T* __restrict wi = vi.data() + static_cast<std::size_t>(q) * span + q;
+      for (index_t k = 1; k <= km; ++k) {
+        const T ar = cr[k], ai = ci[k];
+        wr[k] = ar;
+        wi[k] = ai;
+        const T lr = ar * pr - ai * pi, li = ar * pi + ai * pr;
+        cr[k] = lr;
+        ci[k] = li;
+        if (!(lr * lr + li * li <= bound2)) {
+          throw MapsError("SymBandLdlt::factorize: multiplier at (" +
+                          std::to_string(p + k) + ", " + std::to_string(p) +
+                          ") exceeds the growth bound");
+        }
+      }
+    }
+    // Rank-kPanel update of the trailing columns the panel reaches.
+    const index_t rmax = std::min(j0 + b - 1 + kl_, n_ - 1);
+    for (index_t c = j0 + b; c <= rmax; ++c) {
+      T ar[kPanel], ai[kPanel];  // l(c, j0 + q)
+      for (index_t q = 0; q < kPanel; ++q) {
+        if (q < b) {
+          multiplier(c, j0 + q, ar[q], ai[q]);
+        } else {
+          ar[q] = ai[q] = T(0);
+        }
+      }
+      const std::size_t t0 = static_cast<std::size_t>(c - j0);
+      panel_update(col_r(c), col_i(c), vr.data() + t0, vi.data() + t0, span, ar, ai,
+                   static_cast<std::size_t>(rmax - c + 1));
     }
   }
   factorized_ = true;
 }
 
-// xGBTRS 'N': apply L (with interchanges), then banded back-substitution.
+// Forward sweep L y = b (column-oriented scatter), then the fused D / L^T
+// sweep from the last row up: x_j = y_j / d_j - sum_k l_{j+k,j} x_{j+k}.
+// Each factor column is read once per sweep and applied to every RHS.
 template <typename T>
-void SplitBandMatrixT<T>::solve_inplace(std::vector<cplx>& b) const {
-  require(factorized_, "SplitBandMatrix::solve: factorize() first");
-  require(static_cast<index_t>(b.size()) == n_, "SplitBandMatrix::solve: size mismatch");
-  const index_t kv = kl_ + ku_;
+void SymBandLdltT<T>::solve_multi_inplace(std::vector<std::vector<cplx>>& bs) const {
+  require(factorized_, "SymBandLdlt::solve: factorize() first");
+  for (const auto& b : bs) {
+    require(static_cast<index_t>(b.size()) == n_, "SymBandLdlt::solve: size mismatch");
+  }
+  const std::size_t ld = static_cast<std::size_t>(kl_) + 1;
 
-  if (kl_ > 0) {
-    for (index_t j = 0; j < n_ - 1; ++j) {
-      const index_t piv = ipiv_[static_cast<std::size_t>(j)];
-      if (piv != j) std::swap(b[static_cast<std::size_t>(j)], b[static_cast<std::size_t>(piv)]);
-      const index_t km = std::min(kl_, n_ - 1 - j);
+  for (index_t j = 0; j + 1 < n_; ++j) {
+    const auto km = static_cast<std::size_t>(std::min(kl_, n_ - 1 - j));
+    const std::size_t c = static_cast<std::size_t>(j) * ld + 1;
+    for (auto& b : bs) {
       const cplx bj = b[static_cast<std::size_t>(j)];
       if (bj != cplx{}) {
-        const std::size_t d = at(j, j);
-        axpy_scatter(&re_[d + 1], &im_[d + 1], bj.real(), bj.imag(),
-                     &b[static_cast<std::size_t>(j + 1)],
-                     static_cast<std::size_t>(km));
+        axpy_scatter(re_.data() + c, im_.data() + c, bj.real(), bj.imag(),
+                     b.data() + j + 1, km);
       }
     }
   }
   for (index_t j = n_ - 1; j >= 0; --j) {
-    const std::size_t d = at(j, j);
+    const auto km = static_cast<std::size_t>(std::min(kl_, n_ - 1 - j));
+    const std::size_t d = static_cast<std::size_t>(j) * ld;
     const double dr = re_[d], di = im_[d];
     const double den = dr * dr + di * di;
-    const cplx bj0 = b[static_cast<std::size_t>(j)];
-    const double br = (bj0.real() * dr + bj0.imag() * di) / den;
-    const double bi = (bj0.imag() * dr - bj0.real() * di) / den;
-    b[static_cast<std::size_t>(j)] = cplx{br, bi};
-    const index_t ilo = std::max<index_t>(0, j - kv);
-    axpy_scatter(&re_[at(ilo, j)], &im_[at(ilo, j)], br, bi,
-                 &b[static_cast<std::size_t>(ilo)],
-                 static_cast<std::size_t>(j - ilo));
-  }
-}
-
-// xGBTRS 'T': U^T forward substitution, then L^T and the interchanges in
-// reverse order.
-template <typename T>
-void SplitBandMatrixT<T>::solve_transposed_inplace(std::vector<cplx>& b) const {
-  require(factorized_, "SplitBandMatrix::solve_transposed: factorize() first");
-  require(static_cast<index_t>(b.size()) == n_,
-          "SplitBandMatrix::solve_transposed: size mismatch");
-  const index_t kv = kl_ + ku_;
-
-  for (index_t j = 0; j < n_; ++j) {
-    const index_t ilo = std::max<index_t>(0, j - kv);
-    double ar_sum = 0.0, ai_sum = 0.0;
-    dot_accum(&re_[at(ilo, j)], &im_[at(ilo, j)], &b[static_cast<std::size_t>(ilo)],
-              static_cast<std::size_t>(j - ilo), ar_sum, ai_sum);
-    const double sr = b[static_cast<std::size_t>(j)].real() - ar_sum;
-    const double si = b[static_cast<std::size_t>(j)].imag() - ai_sum;
-    const std::size_t d = at(j, j);
-    const double dr = re_[d], di = im_[d];
-    const double den = dr * dr + di * di;
-    b[static_cast<std::size_t>(j)] =
-        cplx{(sr * dr + si * di) / den, (si * dr - sr * di) / den};
-  }
-  if (kl_ > 0) {
-    for (index_t j = n_ - 2; j >= 0; --j) {
-      const index_t km = std::min(kl_, n_ - 1 - j);
-      const std::size_t d = at(j, j);
-      double ar_sum = 0.0, ai_sum = 0.0;
-      dot_accum(&re_[d + 1], &im_[d + 1], &b[static_cast<std::size_t>(j + 1)],
-                static_cast<std::size_t>(km), ar_sum, ai_sum);
-      b[static_cast<std::size_t>(j)] =
-          cplx{b[static_cast<std::size_t>(j)].real() - ar_sum,
-               b[static_cast<std::size_t>(j)].imag() - ai_sum};
-      const index_t piv = ipiv_[static_cast<std::size_t>(j)];
-      if (piv != j) std::swap(b[static_cast<std::size_t>(j)], b[static_cast<std::size_t>(piv)]);
+    const double pr = dr / den, pi = -di / den;  // 1 / d_j
+    for (auto& b : bs) {
+      double sr = 0.0, si = 0.0;
+      dot_accum(re_.data() + d + 1, im_.data() + d + 1, b.data() + j + 1, km, sr, si);
+      const cplx yj = b[static_cast<std::size_t>(j)];
+      b[static_cast<std::size_t>(j)] = cplx{yj.real() * pr - yj.imag() * pi - sr,
+                                            yj.real() * pi + yj.imag() * pr - si};
     }
   }
 }
 
-template <typename T>
-void SplitBandMatrixT<T>::solve_multi_inplace(std::vector<std::vector<cplx>>& bs) const {
-  require(factorized_, "SplitBandMatrix::solve_multi: factorize() first");
-  for (const auto& b : bs) {
-    require(static_cast<index_t>(b.size()) == n_,
-            "SplitBandMatrix::solve_multi: size mismatch");
-  }
-  const index_t kv = kl_ + ku_;
-  const std::size_t nrhs = bs.size();
-
-  if (kl_ > 0) {
-    for (index_t j = 0; j < n_ - 1; ++j) {
-      const index_t piv = ipiv_[static_cast<std::size_t>(j)];
-      const index_t km = std::min(kl_, n_ - 1 - j);
-      const std::size_t d = at(j, j);
-      for (std::size_t r = 0; r < nrhs; ++r) {
-        auto& b = bs[r];
-        if (piv != j) {
-          std::swap(b[static_cast<std::size_t>(j)], b[static_cast<std::size_t>(piv)]);
-        }
-        const cplx bj = b[static_cast<std::size_t>(j)];
-        if (bj != cplx{}) {
-          axpy_scatter(&re_[d + 1], &im_[d + 1], bj.real(), bj.imag(),
-                       &b[static_cast<std::size_t>(j + 1)],
-                       static_cast<std::size_t>(km));
-        }
-      }
-    }
-  }
-  for (index_t j = n_ - 1; j >= 0; --j) {
-    const std::size_t d = at(j, j);
-    const double dr = re_[d], di = im_[d];
-    const double den = dr * dr + di * di;
-    const index_t ilo = std::max<index_t>(0, j - kv);
-    const std::size_t c0 = at(ilo, j);
-    for (std::size_t r = 0; r < nrhs; ++r) {
-      auto& b = bs[r];
-      const cplx bj0 = b[static_cast<std::size_t>(j)];
-      const double br = (bj0.real() * dr + bj0.imag() * di) / den;
-      const double bi = (bj0.imag() * dr - bj0.real() * di) / den;
-      b[static_cast<std::size_t>(j)] = cplx{br, bi};
-      axpy_scatter(&re_[c0], &im_[c0], br, bi, &b[static_cast<std::size_t>(ilo)],
-                   static_cast<std::size_t>(j - ilo));
-    }
-  }
-}
-
-// Fused xGBTRS 'T' over the whole batch: the factor columns (the large,
-// cache-hostile array) are read once per sweep position and applied to every
-// RHS before moving on — the transposed analogue of solve_multi_inplace,
-// which is what keeps adjoint batches on the one-factor-stream-per-batch
-// cost model.
-template <typename T>
-void SplitBandMatrixT<T>::solve_transposed_multi_inplace(
-    std::vector<std::vector<cplx>>& bs) const {
-  require(factorized_, "SplitBandMatrix::solve_transposed_multi: factorize() first");
-  for (const auto& b : bs) {
-    require(static_cast<index_t>(b.size()) == n_,
-            "SplitBandMatrix::solve_transposed_multi: size mismatch");
-  }
-  const index_t kv = kl_ + ku_;
-  const std::size_t nrhs = bs.size();
-
-  // U^T forward substitution. The factor column stays hot in cache while
-  // every RHS consumes it; each per-RHS reduction runs on dot_accum's four
-  // independent chains.
-  for (index_t j = 0; j < n_; ++j) {
-    const index_t ilo = std::max<index_t>(0, j - kv);
-    const std::size_t c0 = at(ilo, j);
-    const std::size_t d = at(j, j);
-    const double dr = re_[d], di = im_[d];
-    const double den = dr * dr + di * di;
-    for (std::size_t r = 0; r < nrhs; ++r) {
-      auto& b = bs[r];
-      double ar_sum = 0.0, ai_sum = 0.0;
-      dot_accum(&re_[c0], &im_[c0], &b[static_cast<std::size_t>(ilo)],
-                static_cast<std::size_t>(j - ilo), ar_sum, ai_sum);
-      const double sr = b[static_cast<std::size_t>(j)].real() - ar_sum;
-      const double si = b[static_cast<std::size_t>(j)].imag() - ai_sum;
-      b[static_cast<std::size_t>(j)] =
-          cplx{(sr * dr + si * di) / den, (si * dr - sr * di) / den};
-    }
-  }
-  // L^T back substitution + interchanges in reverse order.
-  if (kl_ > 0) {
-    for (index_t j = n_ - 2; j >= 0; --j) {
-      const index_t km = std::min(kl_, n_ - 1 - j);
-      const std::size_t d = at(j, j);
-      const index_t piv = ipiv_[static_cast<std::size_t>(j)];
-      for (std::size_t r = 0; r < nrhs; ++r) {
-        auto& b = bs[r];
-        double ar_sum = 0.0, ai_sum = 0.0;
-        dot_accum(&re_[d + 1], &im_[d + 1], &b[static_cast<std::size_t>(j + 1)],
-                  static_cast<std::size_t>(km), ar_sum, ai_sum);
-        b[static_cast<std::size_t>(j)] =
-            cplx{b[static_cast<std::size_t>(j)].real() - ar_sum,
-                 b[static_cast<std::size_t>(j)].imag() - ai_sum};
-        if (piv != j) {
-          std::swap(b[static_cast<std::size_t>(j)], b[static_cast<std::size_t>(piv)]);
-        }
-      }
-    }
-  }
-}
-
-template class SplitBandMatrixT<double>;
-template class SplitBandMatrixT<float>;
-template SplitBandMatrixT<float>::SplitBandMatrixT(const SplitBandMatrixT<double>&);
-template SplitBandMatrixT<double>::SplitBandMatrixT(const SplitBandMatrixT<float>&);
+template class SymBandLdltT<double>;
+template class SymBandLdltT<float>;
 
 }  // namespace maps::math

@@ -144,15 +144,9 @@ double CsrMatrix<T>::residual_norm(const std::vector<T>& x,
 template class CsrMatrix<double>;
 template class CsrMatrix<cplx>;
 
-namespace {
-
-/// Shared CSR -> band conversion: detect kl/ku from the stored entries,
-/// then scatter. `Band` is any band type exposing (n, kl, ku) construction
-/// and set(r, c, v): SplitBandMatrix (the solve kernel) or BandMatrix<T>
-/// (the reference the split kernel is tested and benchmarked against).
-template <typename Band, typename T>
-Band csr_to_band_impl(const CsrMatrix<T>& a, const char* what) {
-  require(a.rows() == a.cols(), std::string(what) + ": matrix must be square");
+template <typename T>
+BandMatrix<T> to_band(const CsrMatrix<T>& a) {
+  require(a.rows() == a.cols(), "to_band: matrix must be square");
   index_t kl = 0, ku = 0;
   for (index_t r = 0; r < a.rows(); ++r) {
     for (index_t k = a.row_ptr()[static_cast<std::size_t>(r)];
@@ -162,7 +156,7 @@ Band csr_to_band_impl(const CsrMatrix<T>& a, const char* what) {
       ku = std::max(ku, c - r);
     }
   }
-  Band b(a.rows(), kl, ku);
+  BandMatrix<T> b(a.rows(), kl, ku);
   for (index_t r = 0; r < a.rows(); ++r) {
     for (index_t k = a.row_ptr()[static_cast<std::size_t>(r)];
          k < a.row_ptr()[static_cast<std::size_t>(r) + 1]; ++k) {
@@ -173,18 +167,7 @@ Band csr_to_band_impl(const CsrMatrix<T>& a, const char* what) {
   return b;
 }
 
-}  // namespace
-
-template <typename T>
-BandMatrix<T> to_band(const CsrMatrix<T>& a) {
-  return csr_to_band_impl<BandMatrix<T>>(a, "to_band");
-}
-
 template BandMatrix<double> to_band(const CsrMatrix<double>&);
 template BandMatrix<cplx> to_band(const CsrMatrix<cplx>&);
-
-SplitBandMatrix to_split_band(const CsrCplx& a) {
-  return csr_to_band_impl<SplitBandMatrix>(a, "to_split_band");
-}
 
 }  // namespace maps::math

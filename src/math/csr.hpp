@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "math/banded.hpp"
-#include "math/banded_split.hpp"
 #include "math/types.hpp"
 
 namespace maps::math {
@@ -67,17 +66,13 @@ extern template class CsrMatrix<double>;
 extern template class CsrMatrix<cplx>;
 
 /// Convert a square CSR matrix to banded storage (bands auto-detected). No
-/// solve path uses it: BandMatrix<cplx> is the reference the split kernel
-/// is tested and benchmarked against.
+/// FDFD solve path uses it: BandMatrix<cplx> is the reference the LDL^T
+/// kernel is tested and benchmarked against (fdfd::symmetric_band_t is the
+/// CSR -> kernel conversion).
 template <typename T>
 BandMatrix<T> to_band(const CsrMatrix<T>& a);
 
 extern template BandMatrix<double> to_band(const CsrMatrix<double>&);
 extern template BandMatrix<cplx> to_band(const CsrMatrix<cplx>&);
-
-/// Convert a square complex CSR matrix to split-complex banded storage
-/// (bands auto-detected) — the direct-solve fast path for operators that
-/// were assembled as CSR rather than straight into band storage.
-SplitBandMatrix to_split_band(const CsrCplx& a);
 
 }  // namespace maps::math

@@ -5,13 +5,13 @@
 // multi-fidelity pairs). Each unit flows through producer/consumer stages:
 //
 //   prep   task:  pattern render -> operator assembly -> factorization
-//                 (split-complex prepared band backend for direct solves)
+//                 (prepared LDL^T band backend for direct solves)
 //   solve  task:  batched forward + adjoint multi-RHS solves -> labels
 //   collect (orchestrator thread): in-order scatter into the Dataset, or
 //                 append to the shard .part file + manifest commit
 //
 // prep and solve run as TaskQueue jobs; the orchestrator keeps a bounded
-// window of in-flight patterns (backpressure bounds the resident LU factors)
+// window of in-flight patterns (backpressure bounds the resident factors)
 // and drains results in submission order, so output order — and therefore
 // file bytes — is deterministic. With W workers, the prep of pattern i+1
 // overlaps the back-substitution of pattern i; with one worker the pipeline

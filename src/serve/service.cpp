@@ -433,7 +433,7 @@ ServeResponse PredictionService::solve_guarded(const ServeRequest& request,
 }
 
 ServeResponse PredictionService::solve_high(const ServeRequest& request) {
-  // The solver tier inherits the split-complex LU direct path and the
+  // The solver tier inherits the LDL^T band direct path and the
   // FactorizationCache: repeat escalations of one pattern only pay
   // back-substitution. Medium fidelity maps to the iterative backend.
   fdfd::SimOptions sim_options;

@@ -13,7 +13,7 @@
 //   3. Escalation      `fidelity: high` requests — and surrogate outputs that
 //                      fail the confidence screen — run through
 //                      solver::SolverBackend via fdfd::Simulation, sharing
-//                      one FactorizationCache (split-complex LU) across
+//                      one FactorizationCache (LDL^T band factors) across
 //                      requests, so repeat verifications only back-substitute.
 //
 // submit() is asynchronous (returns a runtime::Future); predict() is the

@@ -9,7 +9,7 @@
 //    "dl": 0.1,                   // optional, default from the serve config
 //    "wavelength": 1.55,          // or "omega"; optional
 //    "fidelity": "low",           // low = surrogate, medium = iterative
-//                                 // solve, high = direct LU solve
+//                                 // solve, high = direct LDL^T solve
 //    "source": {"type": "point", "i": 16, "j": 32},
 //                                 // or {"re": [...], "im": [...]} (nx*ny);
 //                                 // optional, default point at (nx/4, ny/2)

@@ -7,7 +7,7 @@
 // solves — and every excitation of a multi-source device — share one
 // preparation. Concrete backends:
 //
-//   DirectBandedBackend  banded LU (xGBTRF/xGBTRS), exact, High fidelity
+//   DirectBandedBackend  band LDL^T of W·A, exact, High fidelity
 //   IterativeBackend     BiCGSTAB on the CSR operator, Medium fidelity
 //   CoarseGridBackend    direct solve on a 2x-coarsened Yee grid with
 //                        bilinear restriction/prolongation, Low fidelity
@@ -86,7 +86,7 @@ struct SolverConfig {
 /// tests). Backends count atomically so shared cached backends can be used
 /// from multiple threads.
 struct SolverStats {
-  int factorizations = 0;  // LU factorizations (0 for purely iterative)
+  int factorizations = 0;  // direct factorizations (0 for purely iterative)
   int solves = 0;          // forward + transposed solves, batch entries included
   int refine_iterations = 0;  // mixed-precision refinement steps taken
   int refine_fallbacks = 0;   // refinement stalls that re-factorized in double
@@ -98,7 +98,7 @@ class SolverBackend {
 
   virtual std::string name() const = 0;
 
-  /// Prepare the operator for repeated solves (direct backends LU-factorize
+  /// Prepare the operator for repeated solves (direct backends factorize
   /// here, the iterative backend is a no-op). Idempotent and thread-safe;
   /// solve() calls it implicitly.
   virtual void factorize() = 0;
@@ -146,7 +146,7 @@ class SolverBackend {
             refinement_fallback_count()};
   }
 
-  /// Bytes of resident solve state held by this backend (band storage, LU
+  /// Bytes of resident solve state held by this backend (band storage,
   /// factors, cached transposes) — whatever is allocated *now*, which for
   /// band-direct backends includes the unfactorized band array. Drives the
   /// FactorizationCache's memory-aware eviction.

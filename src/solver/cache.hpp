@@ -97,7 +97,7 @@ class FactorizationCache {
   /// factorized entries get prepared).
   std::size_t factor_bytes() const;
   CacheStats stats() const;
-  /// Total LU factorizations performed by backends currently in the cache.
+  /// Total factorizations performed by backends currently in the cache.
   int factorization_count() const;
   /// Total solves answered by backends currently in the cache.
   int solve_count() const;

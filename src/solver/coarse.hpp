@@ -3,7 +3,7 @@
 // Restricts the permittivity to a factor-coarsened Yee grid covering the same
 // physical domain (PML thickness preserved in micrometres), solves there with
 // a direct banded backend, and prolongates the solution back to the fine grid
-// by bilinear interpolation. A factor-2 coarsening makes the banded LU ~8x
+// by bilinear interpolation. A factor-2 coarsening makes the band LDL^T ~8x
 // cheaper (N * bw^2), which is the cost model the paper's multi-fidelity data
 // generation is built on: fields carry the coarse grid's O(h^2) dispersion
 // error but resolve the same guided-mode physics.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 
 #include "math/csr.hpp"
@@ -37,6 +38,28 @@ double l2_norm(const std::vector<cplx>& v) {
   return std::sqrt(s);
 }
 
+// A^{-1} (forward) or A^{-T} (adjoint) applied in place through S = W·A:
+//   A x = b    <=>  S x = W b
+//   A^T l = g  <=>  l = W S^{-1} g      (A^T = S W^{-1}, as S = S^T)
+template <typename T>
+void solve_through_s(const maps::math::SymBandLdltT<T>& s, const std::vector<cplx>& w,
+                     std::vector<std::vector<cplx>>& xs, bool transposed) {
+  const auto scale = [&w](std::vector<cplx>& x) {
+    for (std::size_t t = 0; t < x.size(); ++t) {
+      const double xr = x[t].real(), xi = x[t].imag();
+      const double wr = w[t].real(), wi = w[t].imag();
+      x[t] = cplx{xr * wr - xi * wi, xr * wi + xi * wr};
+    }
+  };
+  if (!transposed) {
+    for (auto& x : xs) scale(x);
+  }
+  s.solve_multi_inplace(xs);
+  if (transposed) {
+    for (auto& x : xs) scale(x);
+  }
+}
+
 }  // namespace
 
 DirectBandedBackend::DirectBandedBackend(const grid::GridSpec& spec,
@@ -47,22 +70,21 @@ DirectBandedBackend::DirectBandedBackend(const grid::GridSpec& spec,
     : precision_(precision),
       refinement_(refinement),
       spec_(spec), eps_(eps), omega_(omega), pml_(pml) {
-  // Assemble straight into split band storage; the CSR operator is only
-  // built if a consumer asks for op() (or the mixed path needs refinement
-  // residuals).
+  // Assemble the lower band of S = W·A straight into kernel storage; the
+  // CSR operator is only built if a consumer asks for op() (or the mixed
+  // path needs refinement residuals).
   if (precision_ == SolverPrecision::Mixed) {
     // Assemble directly into fp32 band storage: the coefficients round to
-    // float at the store (identical to a double-assemble + convert), and
-    // the double-sized band is never allocated or written — the resident
-    // factor state is half-sized from construction on.
+    // float at the store, and the double-sized band is never allocated or
+    // written — the resident factor state is half-sized from construction.
     auto band = fdfd::assemble_banded_t<float>(spec_, eps_, omega_, pml_);
     W_ = std::move(band.W);
-    split_f_.emplace(std::move(band.AB));
+    ldlt_f_.emplace(std::move(band.S));
     mixed_active_.store(true);
   } else {
-    auto band = fdfd::assemble_banded(spec_, eps_, omega_, pml_);
+    auto band = fdfd::assemble_banded_t<double>(spec_, eps_, omega_, pml_);
     W_ = std::move(band.W);
-    split_.emplace(std::move(band.AB));
+    ldlt_.emplace(std::move(band.S));
   }
 }
 
@@ -91,25 +113,22 @@ void DirectBandedBackend::factorize_locked() {
   // factorizations: a re-entry on a factorized backend returns before
   // opening one, so the trace shows the request only paid back-substitution.
   if (mixed_active_.load()) {
-    if (!split_f_) {
-      // Constructed from an assembled operator: csr_op_ was set in the
-      // constructor and is immutable, so reading it here is race-free.
-      split_f_.emplace(
-          maps::math::SplitBandMatrixF(maps::math::to_split_band(csr_op_->A)));
-    }
-    if (split_f_->factorized()) return;
+    if (!ldlt_f_) ldlt_f_.emplace(build_band<float>());
+    if (ldlt_f_->factorized()) return;
     try {
       // Scoped to the attempt: a failed fp32 factorization closes its span
       // before the double fallback opens its own.
       obs::ScopedSpan span("solver.factorize", obs::current_trace(), &factorize_hist());
-      split_f_->factorize();
+      ldlt_f_->factorize();
       ++factorizations_;
       return;
     } catch (const std::exception&) {
-      // Singular in fp32 (pivot under/overflow) while the double operator
-      // may be fine — take the fallback instead of failing the solve.
-      // Build the double factors before publishing the flag flip so no
-      // reader ever sees mixed_active_ == false with unfactorized state.
+      // The guard tripped in fp32 (rounding can push a pivot or multiplier
+      // past its bound where double stays inside). No solve has read the
+      // half-eliminated fp32 band, so drop it and answer from double
+      // factors. Build them before publishing the flag flip so no reader
+      // ever sees mixed_active_ == false with unfactorized state.
+      ldlt_f_.reset();
       ++refine_fallbacks_;
       factorize_double_locked();
       mixed_active_.store(false);
@@ -119,19 +138,25 @@ void DirectBandedBackend::factorize_locked() {
   factorize_double_locked();
 }
 
+template <typename T>
+maps::math::SymBandLdltT<T> DirectBandedBackend::build_band() const {
+  // Problem definition in hand: re-assemble straight into band storage.
+  if (eps_.size() > 0) return fdfd::assemble_banded_t<T>(spec_, eps_, omega_, pml_).S;
+  // Constructed from an assembled operator: csr_op_ was set in the
+  // constructor and is immutable, so reading it here is race-free.
+  return fdfd::symmetric_band_t<T>(*csr_op_);
+}
+
 void DirectBandedBackend::factorize_double_locked() {
-  if (!split_) {
-    if (eps_.size() > 0) {
-      // Problem definition in hand (mixed fallback dropped the double band
-      // at construction): re-assemble straight into band storage.
-      split_.emplace(fdfd::assemble_banded(spec_, eps_, omega_, pml_).AB);
-    } else {
-      split_ = maps::math::to_split_band(csr_op_->A);
-    }
-  }
-  if (split_->factorized()) return;
+  if (!ldlt_) ldlt_.emplace(build_band<double>());
+  if (ldlt_->factorized()) return;
   obs::ScopedSpan span("solver.factorize", obs::current_trace(), &factorize_hist());
-  split_->factorize();
+  try {
+    ldlt_->factorize();
+  } catch (const std::exception&) {
+    ldlt_.reset();  // half eliminated: a retry must start from S again
+    throw;
+  }
   ++factorizations_;
 }
 
@@ -143,8 +168,8 @@ void DirectBandedBackend::fall_back_to_double() {
   // Backends are shared lock-free on the solve path (FactorizationCache
   // hands one instance to serve/datagen threads): a concurrent solve that
   // loads the flag between a store-first and the factorization would skip
-  // the fp32 path and hit an empty/partially-factorized split_. The
-  // seq_cst flag store releases the split_ writes, so any reader that
+  // the fp32 path and hit an empty/partially-factorized ldlt_. The
+  // seq_cst flag store releases the ldlt_ writes, so any reader that
   // observes false finds fully built double factors. Note the order must
   // be explicit here — factorize_locked() with the flag still true takes
   // the (already factorized) mixed branch and never builds the double
@@ -195,11 +220,7 @@ bool DirectBandedBackend::refine_batch(std::span<const std::vector<cplx>> rhs,
       residuals.push_back(std::move(res));
     }
     if (active.empty()) return true;
-    if (transposed) {
-      split_f_->solve_transposed_multi_inplace(residuals);
-    } else {
-      split_f_->solve_multi_inplace(residuals);
-    }
+    solve_through_s(*ldlt_f_, W_, residuals, transposed);
     for (std::size_t k = 0; k < active.size(); ++k) {
       auto& x = xs[active[k]];
       const auto& d = residuals[k];
@@ -211,48 +232,18 @@ bool DirectBandedBackend::refine_batch(std::span<const std::vector<cplx>> rhs,
 }
 
 std::vector<cplx> DirectBandedBackend::solve(const std::vector<cplx>& rhs) {
-  runtime::fault::point("solver.solve");
-  factorize();
-  obs::ScopedSpan span("solver.solve", obs::current_trace(), &solve_hist());
-  ++solves_;
-  std::vector<cplx> x = rhs;
-  if (mixed_active_.load()) {
-    split_f_->solve_inplace(x);
-    std::vector<std::vector<cplx>> xs;
-    xs.push_back(std::move(x));
-    if (refine_batch(std::span<const std::vector<cplx>>(&rhs, 1), xs,
-                     /*transposed=*/false)) {
-      return std::move(xs[0]);
-    }
-    fall_back_to_double();
-    x = rhs;
-  }
-  split_->solve_inplace(x);
-  return x;
+  return std::move(batch_solve_impl({&rhs, 1}, /*transposed=*/false)[0]);
 }
 
 std::vector<cplx> DirectBandedBackend::solve_transposed(const std::vector<cplx>& rhs) {
-  factorize();
-  obs::ScopedSpan span("solver.solve", obs::current_trace(), &solve_hist());
-  ++solves_;
-  std::vector<cplx> x = rhs;
-  if (mixed_active_.load()) {
-    split_f_->solve_transposed_inplace(x);
-    std::vector<std::vector<cplx>> xs;
-    xs.push_back(std::move(x));
-    if (refine_batch(std::span<const std::vector<cplx>>(&rhs, 1), xs,
-                     /*transposed=*/true)) {
-      return std::move(xs[0]);
-    }
-    fall_back_to_double();
-    x = rhs;
-  }
-  split_->solve_transposed_inplace(x);
-  return x;
+  return std::move(batch_solve_impl({&rhs, 1}, /*transposed=*/true)[0]);
 }
 
 std::vector<std::vector<cplx>> DirectBandedBackend::batch_solve_impl(
     std::span<const std::vector<cplx>> rhs, bool transposed) {
+  // Every direct solve passes this fault point: forward and adjoint, single
+  // and batched, so armed chaos runs reach datagen and invdes solves too.
+  runtime::fault::point("solver.solve");
   factorize();
   obs::ScopedSpan span("solver.solve", obs::current_trace(), &solve_hist());
   solves_ += static_cast<int>(rhs.size());
@@ -273,9 +264,11 @@ std::vector<std::vector<cplx>> DirectBandedBackend::batch_solve_impl(
                                   std::max<std::size_t>(1, maps::math::num_threads()));
   const std::size_t per_slice = (out.size() + n_slices - 1) / n_slices;
   // Exceptions must not escape into pool workers (the pool has no unwind
-  // path); capture the first one and rethrow on the calling thread.
+  // path); capture the first one and rethrow it, type intact (a
+  // DeadlineExceeded from refinement must reach the serve layer as one), on
+  // the calling thread.
   std::mutex err_mu;
-  std::string first_error;
+  std::exception_ptr first_error;
   std::atomic<bool> need_fallback{false};
   maps::math::parallel_for(0, n_slices, [&](std::size_t s) {
     const std::size_t lo = s * per_slice;
@@ -285,28 +278,20 @@ std::vector<std::vector<cplx>> DirectBandedBackend::batch_solve_impl(
       std::vector<std::vector<cplx>> slice(std::make_move_iterator(out.begin() + lo),
                                            std::make_move_iterator(out.begin() + hi));
       if (mixed) {
-        if (transposed) {
-          split_f_->solve_transposed_multi_inplace(slice);
-        } else {
-          split_f_->solve_multi_inplace(slice);
-        }
+        solve_through_s(*ldlt_f_, W_, slice, transposed);
         if (!refine_batch(rhs.subspan(lo, hi - lo), slice, transposed)) {
           need_fallback.store(true);
         }
       } else {
-        if (transposed) {
-          split_->solve_transposed_multi_inplace(slice);
-        } else {
-          split_->solve_multi_inplace(slice);
-        }
+        solve_through_s(*ldlt_, W_, slice, transposed);
       }
       std::move(slice.begin(), slice.end(), out.begin() + lo);
-    } catch (const std::exception& e) {
+    } catch (...) {
       std::lock_guard<std::mutex> lock(err_mu);
-      if (first_error.empty()) first_error = e.what();
+      if (!first_error) first_error = std::current_exception();
     }
   });
-  if (!first_error.empty()) throw MapsError(first_error);
+  if (first_error) std::rethrow_exception(first_error);
   if (need_fallback.load()) {
     // Some slice's refinement stalled: build the double factors and
     // re-answer the whole batch on the exact path (rare, so the duplicated
@@ -339,21 +324,20 @@ const fdfd::FdfdOperator& DirectBandedBackend::op() const {
 std::size_t DirectBandedBackend::factor_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t bytes = 0;
-  if (split_) bytes += split_->storage_bytes();
-  if (split_f_) bytes += split_f_->storage_bytes();
+  if (ldlt_) bytes += ldlt_->storage_bytes();
+  if (ldlt_f_) bytes += ldlt_f_->storage_bytes();
   return bytes;
 }
 
 std::size_t DirectBandedBackend::estimate_factor_bytes(const grid::GridSpec& spec,
                                                        SolverPrecision precision) {
   const auto n = static_cast<std::size_t>(spec.cells());
-  // kl = ku = bw, matching the assembler's rule: a single-row grid only
-  // couples nearest neighbours along x, so its band collapses to width 1.
+  // kl = bw, matching the assembler's rule: a single-row grid only couples
+  // nearest neighbours along x, so its band collapses to width 1.
   const auto bw = static_cast<std::size_t>(spec.ny > 1 ? spec.nx : 1);
-  const std::size_t ldab = 3 * bw + 1;  // 2*kl + ku + 1
   const std::size_t scalar =
       precision == SolverPrecision::Mixed ? sizeof(float) : sizeof(double);
-  return 2 * ldab * n * scalar + n * sizeof(index_t);
+  return 2 * (bw + 1) * n * scalar;
 }
 
 }  // namespace maps::solver

@@ -1,37 +1,43 @@
-// Direct banded-LU backend: the High-fidelity (exact) solve path.
+// Direct banded backend: the High-fidelity (exact) solve path.
 //
-// The kernel is the split-complex banded LU (math::SplitBandMatrix): when
-// constructed from a problem definition the operator is assembled straight
-// into split band storage (fdfd::assemble_banded — no triplet/CSR chain) and
-// factorized/solved by the split kernel. An already-assembled operator is
-// converted with math::to_split_band at factorization time. Every consumer of the solver layer — Simulation, adjoint batches,
-// S-parameter sweeps, the invdes engine, the datagen prep stage — inherits
-// this path through make_backend/make_cached_backend.
+// The kernel is the complex-symmetric band LDL^T (math::SymBandLdlt) of
+// S = W·A, where W is the assembler's symmetrizing row scale. Built from a
+// problem definition, the backend assembles the lower band of S straight
+// into kernel storage (fdfd::assemble_banded_t — no triplet/CSR chain);
+// handed an already-assembled operator (the TE path), it converts the CSR
+// matrix with fdfd::symmetric_band_t at factorization time. Both directions
+// run the same multi-RHS sweep:
+//   forward  A x = b      solve S x = W b
+//   adjoint  A^T l = g    solve S y = g, then l = W y   (A^T = S W^{-1})
+// Every consumer of the solver layer — Simulation, adjoint batches,
+// S-parameter sweeps, the invdes engine, datagen, fdfd::TeSimulation —
+// inherits this path through make_backend/make_cached_backend or directly.
 //
-// SolverPrecision::Mixed swaps the factor storage for the fp32 sibling
-// (math::SplitBandMatrixF — assembled directly in float32 by
-// fdfd::assemble_banded_t<float>, half the bytes, twice the effective
-// bandwidth through the O(n*bw^2) elimination sweep) and recovers double
-// accuracy by classical iterative refinement: after the fp32 solve, iterate
-//   r = b - A x        (residual accumulated in double against the CSR op)
-//   d = solve(LU_f32, r)
-//   x += d
-// until the relative residual reaches RefinementOptions::rtol. Each step
-// shrinks the error by ~cond(A) * eps_f32, so well-conditioned FDFD
-// operators converge in a handful of iterations; if a step fails to shrink
-// the residual 2x (ill-conditioned / PML-heavy operators) or the iteration
-// cap is hit, the backend falls back to a double factorization — sticky for
-// the backend's lifetime — and re-answers from the exact path. Refinement
-// steps and fallbacks are counted in the backend stats.
+// SolverPrecision::Mixed swaps the factors for the fp32 sibling
+// (math::SymBandLdltF — assembled directly in float32, half the bytes) and
+// recovers double accuracy by classical iterative refinement against the CSR
+// operator: after the fp32 solve, iterate
+//   r = b - A x   (forward)    or   r = g - A^T l   (adjoint), in double
+//   x += S_f^{-1} (W r)        or   l += W S_f^{-1} r
+// until the relative residual reaches RefinementOptions::rtol. If a step
+// fails to shrink the residual 2x or the iteration cap is hit, the backend
+// falls back to double factors — sticky for its lifetime — and re-answers
+// from the exact path. Refinement steps and fallbacks are counted in the
+// backend stats.
 //
-// The CSR fine-grid operator is assembled lazily on op() access — the hot
-// paths only ever need W, which the banded assembly already provides (the
-// mixed path triggers it on the first refined solve for residuals). The
-// factorization is computed lazily on first solve (thread-safe) and reused
-// for every subsequent forward, transposed and batched solve. Batches are
-// split across the thread pool; each worker's slice goes through the
-// multi-RHS banded sweep so the factor array streams through cache once per
-// slice instead of once per right-hand side.
+// A factorization whose static-pivot guard trips (math/banded_split.hpp)
+// throws MapsError from factorize() before any solve answers; the fp32
+// path takes the double fallback first, since fp32 can trip where double
+// does not.
+//
+// The CSR operator is assembled lazily on op() access — the hot paths only
+// ever need W, which the banded assembly already provides (the mixed path
+// triggers it on the first refined solve for residuals). The factorization
+// is computed lazily on first solve (thread-safe) and reused for every
+// subsequent forward, adjoint and batched solve. Batches are split across
+// the thread pool; each worker's slice goes through the multi-RHS sweep so
+// the factor array streams through cache once per slice instead of once per
+// right-hand side.
 #pragma once
 
 #include <atomic>
@@ -48,8 +54,9 @@ class DirectBandedBackend final : public SolverBackend {
                       double omega, const fdfd::PmlSpec& pml,
                       SolverPrecision precision = default_solver_precision(),
                       const RefinementOptions& refinement = {});
-  /// Take ownership of an already-assembled operator (band storage is then
-  /// converted from the CSR matrix at factorization time).
+  /// Take ownership of an already-assembled operator (its W·A must be
+  /// symmetric; the band is converted from the CSR matrix at factorization
+  /// time).
   explicit DirectBandedBackend(fdfd::FdfdOperator op,
                                SolverPrecision precision = default_solver_precision(),
                                const RefinementOptions& refinement = {});
@@ -80,7 +87,7 @@ class DirectBandedBackend final : public SolverBackend {
   /// Bytes of band solve state. Built from a problem definition, the band
   /// array exists (and is resident) from construction, so this reports its
   /// size immediately — factorization happens in place and adds nothing;
-  /// under SolverPrecision::Mixed this is the fp32 array, i.e. ~half the
+  /// under SolverPrecision::Mixed this is the fp32 array, i.e. half the
   /// double footprint (plus the double factors too after a refinement
   /// fallback). Built from an assembled operator, the band is converted
   /// lazily, so it reports 0 until the first factorize(). Do not use == 0
@@ -89,11 +96,11 @@ class DirectBandedBackend final : public SolverBackend {
   std::size_t factor_bytes() const override;
 
   /// Predicted factor_bytes() for a backend built from `spec` at `precision`,
-  /// without assembling anything: the split band array is 2 scalar planes of
-  /// (2*kl+ku+1) x n with kl = ku = (ny > 1 ? nx : 1), the assembler's
-  /// bandwidth rule, plus the pivot vector. Mixed counts fp32 planes (half
-  /// the double footprint). Used by capacity planners (e.g. the datagen
-  /// memory budget) that must size windows before any solve.
+  /// without assembling anything: 2 scalar planes of (bw+1) x n, with
+  /// bw = (ny > 1 ? nx : 1), the assembler's bandwidth rule. Mixed counts
+  /// fp32 planes (half the double footprint). Used by capacity planners
+  /// (e.g. the datagen memory budget) that must size windows before any
+  /// solve.
   static std::size_t estimate_factor_bytes(const grid::GridSpec& spec,
                                            SolverPrecision precision);
 
@@ -112,10 +119,13 @@ class DirectBandedBackend final : public SolverBackend {
   /// path themselves.
   void fall_back_to_double();
   void factorize_locked();
-  /// Double-path slice of factorize_locked(): build + factorize split_ only,
+  /// Double-path slice of factorize_locked(): build + factorize ldlt_ only,
   /// ignoring mixed_active_. fall_back_to_double() needs it directly so the
   /// double factors are complete before the flag flips off.
   void factorize_double_locked();
+  /// The lower band of S in T, from the problem definition or the CSR op.
+  template <typename T>
+  maps::math::SymBandLdltT<T> build_band() const;
 
   SolverPrecision precision_ = SolverPrecision::Double;
   RefinementOptions refinement_;
@@ -130,8 +140,8 @@ class DirectBandedBackend final : public SolverBackend {
   std::vector<cplx> W_;
 
   mutable std::mutex mu_;  // guards lazy factorization + fallback
-  std::optional<maps::math::SplitBandMatrix> split_;
-  std::optional<maps::math::SplitBandMatrixF> split_f_;  // mixed-precision path
+  std::optional<maps::math::SymBandLdlt> ldlt_;
+  std::optional<maps::math::SymBandLdltF> ldlt_f_;  // mixed-precision path
 
   mutable std::mutex op_mu_;  // guards lazy CSR assembly
   mutable std::optional<fdfd::FdfdOperator> csr_op_;

@@ -2,6 +2,8 @@
 // adjoint relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fdfd/assembler.hpp"
 #include "math/rng.hpp"
 #include "math/vec.hpp"
@@ -102,4 +104,51 @@ TEST(Assembler, EpsShapeMismatchThrows) {
   maps::grid::GridSpec spec{8, 8, 0.1};
   mm::RealGrid eps(8, 7, 1.0);
   EXPECT_THROW(mf::assemble(spec, eps, 4.0, mf::PmlSpec{}), maps::MapsError);
+}
+
+TEST(Assembler, BandedAssemblyIsLowerBandOfWA) {
+  // assemble_banded_t stores W_n * A(n, m) for m <= n with the same
+  // coefficient arithmetic as assemble(), and the mirrored upper entries of
+  // W·A agree to rounding — on square, nx != ny and single-row grids.
+  for (const auto& spec : {maps::grid::GridSpec{14, 14, 0.1},
+                           maps::grid::GridSpec{17, 9, 0.1},
+                           maps::grid::GridSpec{23, 1, 0.1}}) {
+    mm::Rng rng(6);
+    mm::RealGrid eps(spec.nx, spec.ny);
+    for (index_t k = 0; k < eps.size(); ++k) eps[k] = 2.0 + 10.0 * rng.uniform();
+    mf::PmlSpec pml;
+    pml.ncells = spec.ny > 1 ? 4 : 0;  // a single row has no room for PML in y
+    const auto op = mf::assemble(spec, eps, 4.0, pml);
+    const auto band = mf::assemble_banded_t<double>(spec, eps, 4.0, pml);
+    const auto ref = mm::to_band(op.A);
+    EXPECT_EQ(band.S.kl(), spec.ny > 1 ? spec.nx : 1);
+    ASSERT_EQ(band.W.size(), op.W.size());
+    for (index_t i = 0; i < spec.cells(); ++i) {
+      EXPECT_EQ(band.W[static_cast<std::size_t>(i)], op.W[static_cast<std::size_t>(i)]);
+      for (index_t j = std::max<index_t>(0, i - band.S.kl()); j <= i; ++j) {
+        const cplx lower = op.W[static_cast<std::size_t>(i)] * ref.get(i, j);
+        const cplx upper = op.W[static_cast<std::size_t>(j)] * ref.get(j, i);
+        EXPECT_LE(std::abs(band.S.get(i, j) - lower), 1e-15 * std::abs(lower))
+            << i << "," << j;
+        EXPECT_LE(std::abs(upper - lower), 1e-14 * std::abs(lower)) << i << "," << j;
+      }
+    }
+    // The CSR -> band conversion produces the same lower band.
+    const auto converted = mf::symmetric_band_t<double>(op);
+    for (index_t i = 0; i < spec.cells(); ++i) {
+      for (index_t j = std::max<index_t>(0, i - band.S.kl()); j <= i; ++j) {
+        const cplx v = band.S.get(i, j);
+        EXPECT_LE(std::abs(converted.get(i, j) - v), 1e-15 * std::abs(v)) << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(Assembler, SymmetricBandRejectsUnsymmetrizedOperator) {
+  // With PML on, A alone is not symmetric: dropping W must be caught before
+  // an LDL^T could answer for the wrong matrix.
+  auto op = make_op(12, 2.25, 4);
+  EXPECT_NO_THROW(mf::symmetric_band_t<float>(op));
+  std::fill(op.W.begin(), op.W.end(), cplx{1.0, 0.0});
+  EXPECT_THROW(mf::symmetric_band_t<double>(op), maps::MapsError);
 }

@@ -1,8 +1,12 @@
-// SplitBandMatrix must reproduce BandMatrix<cplx> (same LAPACK algorithm,
-// split re/im storage) to rounding on random banded systems.
+// SymBandLdlt (complex-symmetric band LDL^T) against the pivoted
+// BandMatrix<cplx> LU reference on random complex-symmetric bands, the
+// degenerate shapes FDFD grids produce (kl = 1 single-row grids, n <= kl + 1),
+// and the static-pivot guard.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <limits>
 #include <vector>
 
 #include "math/banded.hpp"
@@ -15,21 +19,26 @@ using maps::index_t;
 
 namespace {
 
+template <typename T>
 struct Pair {
   mm::BandMatrix<cplx> ref;
-  mm::SplitBandMatrix split;
+  mm::SymBandLdltT<T> ldlt;
 };
 
-/// Random diagonally-weighted band system filled into both representations.
-Pair random_pair(index_t n, index_t kl, index_t ku, unsigned seed) {
-  Pair p{mm::BandMatrix<cplx>(n, kl, ku), mm::SplitBandMatrix(n, kl, ku)};
+/// Random complex-symmetric band (S = S^T, no conjugation) filled into both
+/// representations. `diag_shift` keeps it comfortably nonsingular.
+template <typename T = double>
+Pair<T> random_symmetric(index_t n, index_t kl, unsigned seed,
+                         cplx diag_shift = cplx{6.0, 2.0}) {
+  Pair<T> p{mm::BandMatrix<cplx>(n, kl, kl), mm::SymBandLdltT<T>(n, kl)};
   mm::Rng rng(seed);
   for (index_t j = 0; j < n; ++j) {
-    for (index_t i = std::max<index_t>(0, j - ku); i <= std::min(n - 1, j + kl); ++i) {
+    for (index_t i = j; i <= std::min(n - 1, j + kl); ++i) {
       cplx v{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-      if (i == j) v += cplx{6.0, 2.0};  // keep it comfortably nonsingular
+      if (i == j) v += diag_shift;
       p.ref.set(i, j, v);
-      p.split.set(i, j, v);
+      p.ref.set(j, i, v);
+      p.ldlt.set(i, j, v);
     }
   }
   return p;
@@ -51,118 +60,125 @@ double rel_err(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   return std::sqrt(num / std::max(den, 1e-300));
 }
 
+/// Factorize both sides and return the worst relative disagreement over a
+/// batch of `nrhs` random right-hand sides.
+template <typename T>
+double worst_vs_reference(Pair<T>& p, unsigned nrhs, unsigned seed) {
+  p.ref.factorize();
+  p.ldlt.factorize();
+  std::vector<std::vector<cplx>> batch;
+  for (unsigned s = 0; s < nrhs; ++s) batch.push_back(random_rhs(p.ldlt.n(), seed + s));
+  auto ref_batch = batch;
+  p.ref.solve_multi_inplace(ref_batch);
+  p.ldlt.solve_multi_inplace(batch);
+  double worst = 0.0;
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    worst = std::max(worst, rel_err(ref_batch[k], batch[k]));
+  }
+  return worst;
+}
+
 }  // namespace
 
-TEST(SplitBand, MatchesBandMatrixSolve) {
-  auto p = random_pair(160, 12, 9, 11);
-  p.ref.factorize();
-  p.split.factorize();
-
-  auto b = random_rhs(160, 21);
-  auto x_ref = p.ref.solve(b);
-  auto x_split = b;
-  p.split.solve_inplace(x_split);
-  EXPECT_LT(rel_err(x_ref, x_split), 1e-12);
+TEST(SymBandLdlt, MatchesBandMatrixOnRandomSymmetricBands) {
+  for (unsigned trial = 0; trial < 4; ++trial) {
+    const index_t n = 80 + 40 * static_cast<index_t>(trial);
+    const index_t kl = 3 + 5 * static_cast<index_t>(trial);
+    auto p = random_symmetric(n, kl, 400 + trial);
+    EXPECT_LT(worst_vs_reference(p, 5, 500 + 10 * trial), 1e-12)
+        << "n " << n << " kl " << kl;
+  }
 }
 
-TEST(SplitBand, MatchesBandMatrixTransposedSolve) {
-  auto p = random_pair(120, 8, 15, 5);
-  p.ref.factorize();
-  p.split.factorize();
-
-  auto b = random_rhs(120, 33);
-  auto x_ref = p.ref.solve_transposed(b);
-  auto x_split = b;
-  p.split.solve_transposed_inplace(x_split);
-  EXPECT_LT(rel_err(x_ref, x_split), 1e-12);
+TEST(SymBandLdlt, SingleRowGridBandKl1) {
+  // A single-row FDFD grid couples only i +- 1: a tridiagonal band.
+  auto p = random_symmetric(200, 1, 7);
+  EXPECT_LT(worst_vs_reference(p, 3, 70), 1e-12);
 }
 
-TEST(SplitBand, MultiRhsMatchesSingle) {
-  auto p = random_pair(96, 10, 10, 7);
-  p.split.factorize();
+TEST(SymBandLdlt, FullBandWhenNIsAtMostKlPlusOne) {
+  // n = kl + 1: the band covers the whole matrix (dense LDL^T), including
+  // the 1x1 edge case.
+  for (const index_t n : {1, 2, 5, 17}) {
+    auto p = random_symmetric(n, n - 1, 30 + static_cast<unsigned>(n));
+    EXPECT_LT(worst_vs_reference(p, 2, 90), 1e-12) << "n " << n;
+  }
+}
 
+TEST(SymBandLdlt, BatchIsBitIdenticalToOneAtATime) {
+  auto p = random_symmetric(96, 10, 7);
+  p.ldlt.factorize();
   std::vector<std::vector<cplx>> batch;
   for (unsigned s = 0; s < 4; ++s) batch.push_back(random_rhs(96, 100 + s));
   auto singles = batch;
-  for (auto& b : singles) p.split.solve_inplace(b);
-  p.split.solve_multi_inplace(batch);
+  for (auto& b : singles) {
+    std::vector<std::vector<cplx>> one{b};
+    p.ldlt.solve_multi_inplace(one);
+    b = std::move(one[0]);
+  }
+  p.ldlt.solve_multi_inplace(batch);
   for (std::size_t k = 0; k < batch.size(); ++k) {
-    EXPECT_LT(rel_err(singles[k], batch[k]), 1e-14);
-  }
-
-  std::vector<std::vector<cplx>> tbatch;
-  for (unsigned s = 0; s < 3; ++s) tbatch.push_back(random_rhs(96, 200 + s));
-  auto tsingles = tbatch;
-  for (auto& b : tsingles) p.split.solve_transposed_inplace(b);
-  p.split.solve_transposed_multi_inplace(tbatch);
-  for (std::size_t k = 0; k < tbatch.size(); ++k) {
-    EXPECT_LT(rel_err(tsingles[k], tbatch[k]), 1e-14);
-  }
-}
-
-TEST(SplitBand, BatchedSolvesMatchBandMatrixReference) {
-  // The batched forward and transposed (adjoint-path) sweeps must agree with
-  // the interleaved BandMatrix multi-RHS reference on random bands — this is
-  // the contract the direct solver backend's default path rides.
-  for (unsigned trial = 0; trial < 3; ++trial) {
-    const index_t n = 80 + 30 * static_cast<index_t>(trial);
-    const index_t kl = 5 + 4 * static_cast<index_t>(trial);
-    const index_t ku = 11 - 3 * static_cast<index_t>(trial);
-    auto p = random_pair(n, kl, ku, 400 + trial);
-    p.ref.factorize();
-    p.split.factorize();
-
-    std::vector<std::vector<cplx>> batch;
-    for (unsigned s = 0; s < 5; ++s) batch.push_back(random_rhs(n, 500 + 10 * trial + s));
-    auto ref_batch = batch;
-    auto tbatch = batch;
-    auto ref_tbatch = batch;
-
-    p.split.solve_multi_inplace(batch);
-    p.ref.solve_multi_inplace(ref_batch);
-    p.split.solve_transposed_multi_inplace(tbatch);
-    p.ref.solve_transposed_multi_inplace(ref_tbatch);
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      EXPECT_LT(rel_err(ref_batch[k], batch[k]), 1e-12) << "trial " << trial << " rhs " << k;
-      EXPECT_LT(rel_err(ref_tbatch[k], tbatch[k]), 1e-12)
-          << "trial " << trial << " rhs " << k;
+    for (std::size_t t = 0; t < batch[k].size(); ++t) {
+      ASSERT_EQ(batch[k][t], singles[k][t]) << "rhs " << k << " entry " << t;
     }
   }
 }
 
-TEST(SplitBand, PivotSequenceMatchesReference) {
-  // Identical |re|+|im| pivoting implies the factorizations agree entry-wise
-  // to rounding; spot-check via residuals of a tougher, less dominant system.
-  Pair p{mm::BandMatrix<cplx>(64, 6, 6), mm::SplitBandMatrix(64, 6, 6)};
-  mm::Rng rng(3);
-  for (index_t j = 0; j < 64; ++j) {
-    for (index_t i = std::max<index_t>(0, j - 6); i <= std::min<index_t>(63, j + 6);
-         ++i) {
-      cplx v{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-      if (i == j) v += cplx{0.3, 0.1};  // weak diagonal: pivoting must engage
-      p.ref.set(i, j, v);
-      p.split.set(i, j, v);
-    }
-  }
-  auto b = random_rhs(64, 9);
-  auto ref_mv = p.ref;  // keep an unfactorized copy for the residual
-  p.ref.factorize();
-  p.split.factorize();
-  auto x = b;
-  p.split.solve_inplace(x);
-  auto Ax = ref_mv.matvec(x);
-  EXPECT_LT(rel_err(b, Ax), 1e-10);
-  EXPECT_LT(rel_err(p.ref.solve(b), x), 1e-9);
+TEST(SymBandLdlt, FloatFactorsAgreeToSinglePrecision) {
+  auto p = random_symmetric<float>(120, 8, 11);
+  EXPECT_LT(worst_vs_reference(p, 3, 40), 1e-5);
 }
 
-TEST(SplitBand, ThrowsOnSingular) {
-  mm::SplitBandMatrix m(8, 2, 2);
-  // All-zero matrix: first pivot search finds nothing.
+TEST(SymBandLdlt, SymmetricAccessAndStorage) {
+  mm::SymBandLdlt m(100, 10);
+  m.set(15, 9, cplx{1.5, -2.0});
+  EXPECT_EQ(m.get(15, 9), (cplx{1.5, -2.0}));
+  EXPECT_EQ(m.get(9, 15), (cplx{1.5, -2.0}));
+  EXPECT_EQ(m.get(40, 9), cplx{});  // outside the band
+  EXPECT_THROW(m.set(9, 15, cplx{1.0}), maps::MapsError);   // upper triangle
+  EXPECT_THROW(m.set(40, 9, cplx{1.0}), maps::MapsError);   // outside the band
+  // kl + 1 rows per plane, two planes, no pivot vector.
+  EXPECT_EQ(m.storage_bytes(), 2 * 11 * 100 * sizeof(double));
+  EXPECT_EQ(mm::SymBandLdltF(100, 10).storage_bytes(), 2 * 11 * 100 * sizeof(float));
+}
+
+TEST(SymBandLdlt, GuardRejectsZeroLeadingPivot) {
+  // [[0, 1], [1, 1]] is nonsingular, but not without a row swap.
+  mm::SymBandLdlt m(2, 1);
+  m.set(1, 0, cplx{1.0, 0.0});
+  m.set(1, 1, cplx{1.0, 0.0});
   EXPECT_THROW(m.factorize(), maps::MapsError);
 }
 
-TEST(SplitBand, StorageBytesAccountsBand) {
-  mm::SplitBandMatrix m(100, 10, 10);
-  // (2*kl + ku + 1) * n doubles per plane, two planes, plus pivots.
-  EXPECT_GE(m.storage_bytes(), 2 * 31 * 100 * sizeof(double));
+TEST(SymBandLdlt, GuardRejectsTinyLeadingPivot) {
+  // A nonzero leading pivot far below the diagonal scale: eliminating with
+  // it would need a multiplier of 1e10.
+  mm::SymBandLdlt m(2, 1);
+  m.set(0, 0, cplx{1e-10, 1e-10});
+  m.set(1, 0, cplx{1.0, 0.5});
+  m.set(1, 1, cplx{1.0, 0.0});
+  EXPECT_THROW(m.factorize(), maps::MapsError);
+  mm::SymBandLdltF f(2, 1);
+  f.set(0, 0, cplx{1e-10, 1e-10});
+  f.set(1, 0, cplx{1.0, 0.5});
+  f.set(1, 1, cplx{1.0, 0.0});
+  EXPECT_THROW(f.factorize(), maps::MapsError);
+}
+
+TEST(SymBandLdlt, GuardRejectsMultiplierGrowth) {
+  // The leading pivot clears the floor relative to the 1e5 diagonal, but
+  // eliminating with it needs a multiplier 5x the growth bound.
+  mm::SymBandLdlt m(2, 1);
+  m.set(0, 0, cplx{1.0, 0.0});
+  m.set(1, 0, cplx{mm::kLdltMultiplierBound * 5.0, 0.0});
+  m.set(1, 1, cplx{1e5, 0.0});
+  EXPECT_THROW(m.factorize(), maps::MapsError);
+}
+
+TEST(SymBandLdlt, GuardRejectsSingularAndNonFinite) {
+  mm::SymBandLdlt zero(8, 2);
+  EXPECT_THROW(zero.factorize(), maps::MapsError);
+  auto p = random_symmetric(16, 3, 5);
+  p.ldlt.set(9, 9, cplx{std::numeric_limits<double>::quiet_NaN(), 0.0});
+  EXPECT_THROW(p.ldlt.factorize(), maps::MapsError);
 }

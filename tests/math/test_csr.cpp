@@ -88,26 +88,6 @@ TEST(Csr, ToBandRoundTrip) {
   for (std::size_t i = 0; i < 10; ++i) EXPECT_NEAR(std::abs(y1[i] - y2[i]), 0.0, 1e-14);
 }
 
-TEST(Csr, ToSplitBandMatchesToBand) {
-  mm::Rng rng(8);
-  std::vector<mm::Triplet<cplx>> tris;
-  for (index_t i = 0; i < 12; ++i) {
-    tris.push_back({i, i, cplx{5.0 + rng.uniform(), 1.0}});
-    if (i > 1) tris.push_back({i, i - 2, cplx{rng.uniform(), rng.uniform()}});
-    if (i + 1 < 12) tris.push_back({i, i + 1, cplx{rng.uniform(), rng.uniform()}});
-  }
-  auto m = mm::CsrCplx::from_triplets(12, 12, tris);
-  auto band = mm::to_band(m);
-  auto split = mm::to_split_band(m);
-  EXPECT_EQ(split.kl(), band.kl());
-  EXPECT_EQ(split.ku(), band.ku());
-  for (index_t i = 0; i < 12; ++i) {
-    for (index_t j = 0; j < 12; ++j) {
-      EXPECT_EQ(split.get(i, j), band.get(i, j)) << i << "," << j;
-    }
-  }
-}
-
 TEST(Csr, TripletOutOfRangeThrows) {
   EXPECT_THROW(mm::CsrReal::from_triplets(2, 2, {{2, 0, 1.0}}), maps::MapsError);
   EXPECT_THROW(mm::CsrReal::from_triplets(2, 2, {{0, -1, 1.0}}), maps::MapsError);

@@ -80,7 +80,7 @@ TEST(DatagenPipeline, MatchesReferencePath) {
     EXPECT_EQ(b.pattern_id, a.pattern_id);
     EXPECT_EQ(b.excitation, a.excitation);
     EXPECT_EQ(b.fidelity, a.fidelity);
-    // Both paths ride the same split kernel; the bounds allow rounding-level
+    // Both paths ride the same LDL^T kernel; the bounds allow rounding-level
     // skew.
     EXPECT_LT(field_rel_err(a.Ez, b.Ez), 1e-10);
     EXPECT_LT(field_rel_err(a.lambda_fwd, b.lambda_fwd), 1e-8);

@@ -4,12 +4,14 @@
 // guarantee (factorizations strictly fewer than solves).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
 #include "math/rng.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/fault.hpp"
 #include "solver/cache.hpp"
 #include "solver/coarse.hpp"
 #include "solver/direct.hpp"
@@ -368,9 +370,37 @@ TEST(DirectBandedBackend, FactorizeHistogramCountsOnlyRealFactorizations) {
   }
 }
 
+TEST(DirectBandedBackend, SolveFaultPointFiresOnEveryDirectSolve) {
+  // "solver.solve" guards every direct solve, not only the single-RHS
+  // forward one: batched adjoints (the datagen and invdes path) hit it too.
+  WaveguideRig rig;
+  ms::DirectBandedBackend backend(rig.spec, rig.eps, rig.omega, rig.pml);
+  const std::vector<std::vector<cplx>> batch{rig.rhs, random_rhs(rig.spec.cells(), 5)};
+  const auto expected = backend.solve_transposed_batch(batch);
+  {
+    maps::runtime::fault::ScopedFaults faults("solver.solve=throw@nth:1");
+    EXPECT_THROW(backend.solve_transposed_batch(batch), maps::MapsError);
+    const auto answer = backend.solve_transposed_batch(batch);  // the next call answers
+    ASSERT_EQ(answer.size(), batch.size());
+    for (std::size_t k = 0; k < batch.size(); ++k) EXPECT_EQ(answer[k], expected[k]);
+    const auto stats = maps::runtime::fault::stats();
+    const auto point = std::find_if(stats.begin(), stats.end(),
+                                    [](const auto& p) { return p.name == "solver.solve"; });
+    ASSERT_NE(point, stats.end());
+    EXPECT_EQ(point->hits, 2u);
+    EXPECT_EQ(point->fires, 1u);
+  }
+  {
+    maps::runtime::fault::ScopedFaults faults("solver.solve=throw");
+    EXPECT_THROW(backend.solve_batch(batch), maps::MapsError);
+    EXPECT_THROW(backend.solve(rig.rhs), maps::MapsError);
+    EXPECT_THROW(backend.solve_transposed(rig.rhs), maps::MapsError);
+  }
+}
+
 TEST(FactorizationCache, HitPathBitIdenticalToColdSolve) {
   // A cached wavelength sweep must not perturb results: the hit path hands
-  // back the same prepared split factors, so its solutions are bit-identical
+  // back the same prepared factors, so its solutions are bit-identical
   // to a cold solve of the same problem — no tolerance, exact equality.
   WaveguideRig rig;
   mf::SimOptions opts;

@@ -1,4 +1,4 @@
-// Mixed-precision direct solves: fp32 split-complex factors + iterative
+// Mixed-precision direct solves: fp32 LDL^T factors + iterative
 // refinement must reproduce the double factorization's answers to refinement
 // tolerance (including on PML-heavy operators and transposed/batched
 // solves), fall back to the double path deterministically when refinement is
@@ -11,6 +11,8 @@
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
 #include "math/rng.hpp"
+#include "runtime/deadline.hpp"
+#include "runtime/fault.hpp"
 #include "solver/cache.hpp"
 #include "solver/direct.hpp"
 
@@ -129,6 +131,19 @@ TEST(MixedPrecision, StarvedRefinementFallsBackToDoubleFactors) {
   EXPECT_EQ(mixed.refinement_fallback_count(), 1);
 }
 
+TEST(MixedPrecision, DeadlineBlownInRefinementKeepsItsType) {
+  // The factorization stalls past the request deadline, so the expiry is
+  // first seen between refinement rounds, inside the batch path's slice:
+  // it must reach the caller as DeadlineExceeded (the serve layer's
+  // deadline_exceeded reply), not as a plain MapsError.
+  PmlHeavyRig rig;
+  ms::DirectBandedBackend mixed(rig.spec, rig.eps, rig.omega, rig.pml,
+                                ms::SolverPrecision::Mixed);
+  maps::runtime::fault::ScopedFaults stall("solver.factorize=stall:40");
+  maps::runtime::DeadlineGuard deadline(maps::runtime::now_steady_ms() + 10.0);
+  EXPECT_THROW(mixed.solve(rig.rhs), maps::runtime::DeadlineExceeded);
+}
+
 TEST(MixedPrecision, Fp32FactorsHalveTheReportedFootprint) {
   PmlHeavyRig rig;
   ms::DirectBandedBackend dbl(rig.spec, rig.eps, rig.omega, rig.pml,
@@ -138,18 +153,38 @@ TEST(MixedPrecision, Fp32FactorsHalveTheReportedFootprint) {
   const std::size_t bytes_d = dbl.factor_bytes();
   const std::size_t bytes_m = mixed.factor_bytes();
   ASSERT_GT(bytes_m, 0u);
-  // fp32 band planes are exactly half; the shared pivot vector keeps the
-  // total just above 0.5x.
-  EXPECT_LT(bytes_m, (bytes_d * 6) / 10);
-  EXPECT_GT(bytes_m * 2, bytes_d);
+  // Two fp32 band planes and no pivot vector: exactly half.
+  EXPECT_EQ(bytes_m * 2, bytes_d);
+}
 
-  // The static planner estimate matches the live accounting on both paths.
-  EXPECT_EQ(ms::DirectBandedBackend::estimate_factor_bytes(
-                rig.spec, ms::SolverPrecision::Double),
-            bytes_d);
-  EXPECT_EQ(ms::DirectBandedBackend::estimate_factor_bytes(
-                rig.spec, ms::SolverPrecision::Mixed),
-            bytes_m);
+TEST(MixedPrecision, FactorByteEstimateMatchesLiveAccounting) {
+  // The static planner estimate equals factor_bytes() at both precisions,
+  // before and after factorization, on square, nx != ny and single-row grids.
+  struct Case {
+    maps::grid::GridSpec spec;
+    int pml_cells;
+  };
+  for (const Case& c : {Case{{48, 48, 0.1}, 12}, Case{{40, 24, 0.1}, 6},
+                        Case{{64, 1, 0.1}, 0}}) {
+    mm::RealGrid eps(c.spec.nx, c.spec.ny, 2.07);
+    mf::PmlSpec pml;
+    pml.ncells = c.pml_cells;
+    for (const auto precision : {ms::SolverPrecision::Double, ms::SolverPrecision::Mixed}) {
+      ms::DirectBandedBackend backend(c.spec, eps, maps::omega_of_wavelength(2.2), pml,
+                                      precision);
+      const std::size_t estimate =
+          ms::DirectBandedBackend::estimate_factor_bytes(c.spec, precision);
+      const std::size_t bw = c.spec.ny > 1 ? static_cast<std::size_t>(c.spec.nx) : 1;
+      const std::size_t scalar =
+          precision == ms::SolverPrecision::Mixed ? sizeof(float) : sizeof(double);
+      EXPECT_EQ(estimate, 2 * (bw + 1) * static_cast<std::size_t>(c.spec.cells()) * scalar);
+      EXPECT_EQ(backend.factor_bytes(), estimate)
+          << c.spec.nx << "x" << c.spec.ny << " " << ms::solver_precision_name(precision);
+      backend.factorize();
+      EXPECT_EQ(backend.factor_bytes(), estimate)
+          << c.spec.nx << "x" << c.spec.ny << " " << ms::solver_precision_name(precision);
+    }
+  }
 }
 
 TEST(MixedPrecision, ByteBudgetCachesTwiceAsManyMixedFactorizations) {

@@ -13,11 +13,11 @@ Tracked ratios:
                                     (BENCH_datagen_throughput.json)
   fdfd_batched_vs_sequential        multi-RHS banded sweep over per-source
                                     solves at n=64 (BENCH_speedup.json)
-  band_factorize_split_vs_reference split-complex banded factorization over
-                                    the interleaved BandMatrix<cplx>
+  band_factorize_ldlt_vs_reference  LDL^T factorization of S = W·A over
+                                    the pivoted BandMatrix<cplx> LU
                                     reference at n=64 (BENCH_kernels.json)
   band_multi8_vs_loop8              one multi-RHS sweep over 8 per-RHS
-                                    solves on the split factors at n=128
+                                    solves on the LDL^T factors at n=128
                                     (BENCH_kernels.json)
   conv2d_gemm_vs_direct             im2col+GEMM conv over the seed direct
                                     loops (BENCH_kernels.json)
@@ -124,7 +124,7 @@ TRACKED = [
             doc, "BM_FdfdSequentialMultiRhs/64", "BM_FdfdBatchedMultiRhs/64"),
     },
     {
-        "name": "band_factorize_split_vs_reference",
+        "name": "band_factorize_ldlt_vs_reference",
         "file": "BENCH_kernels.json",
         "ratio": lambda doc: ratio_from_benchmarks(
             doc, "BM_BandedFactorizeReference/64", "BM_BandedFactorize/64"),

@@ -25,6 +25,7 @@
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
 #include "fdfd/te.hpp"
+#include "math/parallel.hpp"
 #include "math/rng.hpp"
 #include "param/pipeline.hpp"
 #include "obs/metrics.hpp"
@@ -525,13 +526,19 @@ static void BM_ServeHttpKeepAlive(benchmark::State& state) {
 BENCHMARK(BM_ServeHttpKeepAlive)->Unit(benchmark::kMillisecond);
 
 static void BM_FnoInference(benchmark::State& state) {
+  // The served surrogate (nn::ModelConfig defaults) the way a serve worker
+  // runs it: infer() on one thread, with nested parallel_for serial. Like
+  // BM_FdfdFullSolve (one right-hand side, one thread), so their ratio is
+  // the fidelity axis's surrogate-vs-exact cost ordering, which the CI perf
+  // gate tracks at 64 as fdfd_full_vs_fno_infer_64.
   const index_t n = state.range(0);
-  auto model = nn::make_model(bench::field_model_config(nn::ModelKind::Fno));
+  const auto model = nn::make_model(nn::ModelConfig{});
   nn::Tensor x({1, 4, n, n});
   math::Rng rng(13);
   for (index_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.uniform());
+  const math::ScopedWorkerThread serial;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model->forward(x));
+    benchmark::DoNotOptimize(model->infer(x));
   }
 }
 BENCHMARK(BM_FnoInference)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);

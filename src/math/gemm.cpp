@@ -1,7 +1,9 @@
 #include "math/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "math/parallel.hpp"
@@ -10,24 +12,42 @@ namespace maps::math {
 
 namespace {
 
-// Block sizes: a (kKC x kNC) panel of B (~512 KB) lives in L2 while a quad of
-// C rows (4 * kNC floats = 8 KB) stays L1-resident across the K sweep.
+// Register tile: kTR rows x kNR columns of C stay in SIMD registers for a
+// whole K block while a (K x kNR) panel of B streams past them. The vector
+// type is as wide as the compile target: a 32-byte type on a 16-byte
+// instruction set is emulated pairwise and runs ~10x slower. The tile holds
+// kAcc vector accumulators, which leaves room in 16 SIMD registers for one
+// panel row and a broadcast A value: 4 x 16 (one row quad) under AVX,
+// 2 x 16 under SSE.
+#if defined(__AVX__)
+constexpr std::size_t kVecBytes = 32;
+#else
+constexpr std::size_t kVecBytes = 16;
+#endif
+typedef float Vec __attribute__((vector_size(kVecBytes)));
+constexpr index_t kLanes = static_cast<index_t>(kVecBytes / sizeof(float));
+constexpr index_t kNR = 16;            // columns per tile = one B panel
+constexpr index_t kNV = kNR / kLanes;  // vectors per tile row
+constexpr index_t kAcc = 8;
+constexpr index_t kTR = kAcc / kNV;    // rows per register tile
+constexpr index_t kMR = 4;             // rows per parallel work item (a quad)
+// K block: a (kKC x kNR) panel is 16 KB, so it stays L1-resident while every
+// row tile of the thread's share of C sweeps it.
 constexpr index_t kKC = 256;
-constexpr index_t kNC = 512;
-constexpr index_t kMR = 4;  // rows of C updated per micro-kernel pass
 
-/// Pack op(X) (rows x cols) into a contiguous row-major buffer.
-void pack_op(Trans t, const float* X, index_t rows, index_t cols, index_t ldx,
-             float* out) {
-  if (t == Trans::No) {
-    for (index_t r = 0; r < rows; ++r) {
-      std::memcpy(out + r * cols, X + r * ldx,
-                  static_cast<std::size_t>(cols) * sizeof(float));
-    }
-    return;
-  }
-  // Transpose in 32x32 tiles so both source and destination touch whole
-  // cache lines.
+Vec load_vec(const float* p) {
+  Vec v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_vec(float* p, Vec v) { std::memcpy(p, &v, sizeof v); }
+
+/// Pack op(X) = X^T (rows x cols, X stored cols x rows with leading
+/// dimension ldx) into a contiguous row-major buffer, in 32x32 tiles so both
+/// source and destination touch whole cache lines.
+void pack_transposed(const float* X, index_t rows, index_t cols, index_t ldx,
+                     float* out) {
   constexpr index_t kTile = 32;
   for (index_t r0 = 0; r0 < rows; r0 += kTile) {
     const index_t r1 = std::min(rows, r0 + kTile);
@@ -51,47 +71,107 @@ void scale_rows(float* C, index_t ldc, index_t rows, index_t N, float beta) {
   }
 }
 
-/// Core kernel over contiguous row-major A (M x K) and B (K x N). C rows in
-/// [i_begin, i_end) are scaled by beta then accumulated; alpha is folded into
-/// the broadcast A loads so the inner loop is a pure fused multiply-add.
-void gemm_rows(index_t i_begin, index_t i_end, index_t N, index_t K, float alpha,
-               const float* A, const float* B, float beta, float* C, index_t ldc) {
-  scale_rows(C + i_begin * ldc, ldc, i_end - i_begin, N, beta);
-  if (alpha == 0.0f || K == 0) return;
+/// Copy rows [0, kc) of the ragged last B panel (nr < kNR columns) into a
+/// contiguous (kc x kNR) panel, zero-padding columns [nr, kNR).
+void pad_panel(const float* B, index_t ldb, index_t kc, index_t nr, float* out) {
+  for (index_t k = 0; k < kc; ++k) {
+    for (index_t j = 0; j < kNR; ++j) out[k * kNR + j] = j < nr ? B[k * ldb + j] : 0.0f;
+  }
+}
 
-  for (index_t i0 = i_begin; i0 < i_end; i0 += kMR) {
-    const index_t ir = std::min<index_t>(kMR, i_end - i0);
-    for (index_t j0 = 0; j0 < N; j0 += kNC) {
-      const index_t jn = std::min(kNC, N - j0);
-      for (index_t k0 = 0; k0 < K; k0 += kKC) {
-        const index_t k1 = std::min(K, k0 + kKC);
-        if (ir == kMR) {
-          float* __restrict c0 = C + (i0 + 0) * ldc + j0;
-          float* __restrict c1 = C + (i0 + 1) * ldc + j0;
-          float* __restrict c2 = C + (i0 + 2) * ldc + j0;
-          float* __restrict c3 = C + (i0 + 3) * ldc + j0;
-          for (index_t k = k0; k < k1; ++k) {
-            const float* __restrict b = B + k * N + j0;
-            const float a0 = alpha * A[(i0 + 0) * K + k];
-            const float a1 = alpha * A[(i0 + 1) * K + k];
-            const float a2 = alpha * A[(i0 + 2) * K + k];
-            const float a3 = alpha * A[(i0 + 3) * K + k];
-            for (index_t j = 0; j < jn; ++j) {
-              c0[j] += a0 * b[j];
-              c1[j] += a1 * b[j];
-              c2[j] += a2 * b[j];
-              c3[j] += a3 * b[j];
-            }
-          }
-        } else {
-          for (index_t i = i0; i < i0 + ir; ++i) {
-            float* __restrict c = C + i * ldc + j0;
-            for (index_t k = k0; k < k1; ++k) {
-              const float* __restrict b = B + k * N + j0;
-              const float a = alpha * A[i * K + k];
-              for (index_t j = 0; j < jn; ++j) c[j] += a * b[j];
-            }
-          }
+/// How a tile's C values enter the accumulators: as stored (a later K
+/// block), scaled by beta (the first block), or zero (first block, beta = 0,
+/// so stale NaNs in C are never read).
+enum class Seed { Load, Scale, Zero };
+
+/// C[0:R, 0:kNR) += (alpha * A[0:R, 0:kc)) * B[0:kc, 0:kNR), with the tile
+/// held in registers. Every C element sees exactly the scalar sequence
+/// "c = beta * c, then c += (alpha * a_k) * b_k for ascending k", whatever
+/// R, the tile or the K block, so results do not depend on the tiling.
+/// kScaleA = false skips the alpha multiply, which is exact for alpha = 1.
+template <int R, bool kScaleA>
+void micro_kernel(index_t kc, float alpha, const float* A, index_t lda,
+                  const float* B, index_t ldb, Seed seed, float beta, float* C,
+                  index_t ldc) {
+  Vec acc[R][kNV];
+  for (int r = 0; r < R; ++r) {
+    for (index_t v = 0; v < kNV; ++v) {
+      if (seed == Seed::Zero) {
+        acc[r][v] = Vec{};
+      } else {
+        acc[r][v] = load_vec(C + r * ldc + v * kLanes);
+        if (seed == Seed::Scale) acc[r][v] *= beta;
+      }
+    }
+  }
+  for (index_t k = 0; k < kc; ++k) {
+    Vec b[kNV];
+    for (index_t v = 0; v < kNV; ++v) b[v] = load_vec(B + k * ldb + v * kLanes);
+    for (int r = 0; r < R; ++r) {
+      const float a = kScaleA ? alpha * A[r * lda + k] : A[r * lda + k];
+      for (index_t v = 0; v < kNV; ++v) acc[r][v] += a * b[v];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (index_t v = 0; v < kNV; ++v) store_vec(C + r * ldc + v * kLanes, acc[r][v]);
+  }
+}
+
+using TileKernel = void (*)(index_t, float, const float*, index_t, const float*,
+                           index_t, Seed, float, float*, index_t);
+
+/// micro_kernel<1..kTR, kScaleA>, indexed by rows - 1.
+template <bool kScaleA, std::size_t... R>
+constexpr std::array<TileKernel, sizeof...(R)> tile_kernels(std::index_sequence<R...>) {
+  return {&micro_kernel<static_cast<int>(R) + 1, kScaleA>...};
+}
+constexpr auto kTileKernels = tile_kernels<false>(std::make_index_sequence<kTR>());
+constexpr auto kScaledTileKernels = tile_kernels<true>(std::make_index_sequence<kTR>());
+
+void run_tile(index_t rows, index_t kc, float alpha, const float* A, index_t lda,
+              const float* B, index_t ldb, Seed seed, float beta, float* C,
+              index_t ldc) {
+  const auto& kernels = alpha == 1.0f ? kTileKernels : kScaledTileKernels;
+  kernels[static_cast<std::size_t>(rows - 1)](kc, alpha, A, lda, B, ldb, seed, beta,
+                                              C, ldc);
+}
+
+/// C rows [i_begin, i_end) = alpha * A * B + beta * C for row-major A
+/// (lda) and B (ldb). Loops run K block, then B panel, then row tiles, so
+/// each panel is loaded into L1 once per thread and reused by every tile.
+/// Full panels are read in place; the ragged last one (N % kNR columns) is
+/// copied into a zero-padded panel and its tiles go through a padded C tile.
+void gemm_rows(index_t i_begin, index_t i_end, index_t N, index_t K, float alpha,
+               const float* A, index_t lda, const float* B, index_t ldb,
+               float beta, float* C, index_t ldc) {
+  alignas(64) float b_pad[kKC * kNR];  // rows [0, kc) written before use
+  alignas(64) float c_pad[kTR * kNR] = {};
+  for (index_t k0 = 0; k0 < K; k0 += kKC) {
+    const index_t kc = std::min(kKC, K - k0);
+    const Seed seed = k0 > 0 ? Seed::Load : (beta == 0.0f ? Seed::Zero : Seed::Scale);
+    for (index_t j0 = 0; j0 < N; j0 += kNR) {
+      const index_t nr = std::min(kNR, N - j0);
+      const float* panel = B + k0 * ldb + j0;
+      index_t ldp = ldb;
+      if (nr < kNR) {
+        pad_panel(panel, ldb, kc, nr, b_pad);
+        panel = b_pad;
+        ldp = kNR;
+      }
+      for (index_t i0 = i_begin; i0 < i_end; i0 += kTR) {
+        const index_t rows = std::min(kTR, i_end - i0);
+        const float* a = A + i0 * lda + k0;
+        float* c = C + i0 * ldc + j0;
+        if (nr == kNR) {
+          run_tile(rows, kc, alpha, a, lda, panel, ldp, seed, beta, c, ldc);
+          continue;
+        }
+        for (index_t r = 0; r < rows; ++r) {
+          std::copy_n(c + r * ldc, nr, c_pad + r * kNR);
+        }
+        run_tile(rows, kc, alpha, a, lda, panel, ldp, seed, beta, c_pad, kNR);
+        for (index_t r = 0; r < rows; ++r) {
+          std::copy_n(c_pad + r * kNR, nr, c + r * ldc);
         }
       }
     }
@@ -127,32 +207,36 @@ void sgemm(Trans trans_a, Trans trans_b, index_t M, index_t N, index_t K,
     return;
   }
 
-  // The kernel wants tightly packed row-major operands; reuse the caller's
-  // storage when it already is, otherwise pack (transposing if requested).
+  // The kernel reads row-major operands in place through their leading
+  // dimensions; only a transposed operand is packed (transposed) first.
   std::vector<float> a_buf, b_buf;
   const float* Ap = A;
-  if (trans_a == Trans::Yes || lda != K) {
+  index_t lda_p = lda;
+  if (trans_a == Trans::Yes) {
     a_buf.resize(static_cast<std::size_t>(M) * K);
-    pack_op(trans_a, A, M, K, lda, a_buf.data());
+    pack_transposed(A, M, K, lda, a_buf.data());
     Ap = a_buf.data();
+    lda_p = K;
   }
   const float* Bp = B;
-  if (trans_b == Trans::Yes || ldb != N) {
+  index_t ldb_p = ldb;
+  if (trans_b == Trans::Yes) {
     b_buf.resize(static_cast<std::size_t>(K) * N);
-    pack_op(trans_b, B, K, N, ldb, b_buf.data());
+    pack_transposed(B, K, N, ldb, b_buf.data());
     Bp = b_buf.data();
+    ldb_p = N;
   }
 
-  // One chunk = a run of whole micro-kernel quads, so no two threads share a
-  // C row. The quad count is the parallel iteration space.
+  // One chunk = a run of whole row quads, so no two threads share a C row.
+  // The quad count is the parallel iteration space.
   const index_t quads = (M + kMR - 1) / kMR;
   parallel_for_chunked(0, static_cast<std::size_t>(quads),
                        [&](std::size_t q0, std::size_t q1) {
                          const index_t i_begin = static_cast<index_t>(q0) * kMR;
                          const index_t i_end =
                              std::min(M, static_cast<index_t>(q1) * kMR);
-                         gemm_rows(i_begin, i_end, N, K, alpha, Ap, Bp, beta, C,
-                                   ldc);
+                         gemm_rows(i_begin, i_end, N, K, alpha, Ap, lda_p, Bp,
+                                   ldb_p, beta, C, ldc);
                        });
 }
 

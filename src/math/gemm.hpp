@@ -1,12 +1,20 @@
 // Dense single-precision kernels for the MAPS-Train neural substrate.
 //
-// sgemm is a cache-blocked, thread-tiled C = alpha*op(A)*op(B) + beta*C over
-// row-major storage. The kernel packs op(A)/op(B) into contiguous panels when
-// a transpose (or non-tight leading dimension) would otherwise stride the
-// inner loop, then runs a register-quad micro-kernel whose innermost loop is
-// a unit-stride multiply-accumulate the compiler auto-vectorizes. Rows of C
-// are distributed over the thread pool with parallel_for_chunked, so one
-// GEMM saturates the machine without caller-side batching tricks.
+// sgemm is a register-tiled, thread-split C = alpha*op(A)*op(B) + beta*C
+// over row-major storage. Its micro-kernel keeps a tile of C (4 x 16 floats
+// under AVX, 2 x 16 under SSE; GCC/Clang vector types as wide as the
+// compile target) in SIMD registers for a whole K block, broadcasting A
+// against a 16-column panel of B, so the inner loop issues only FMAs and
+// loads of A and B. Panels are read in place through ldb; only the ragged
+// last one is copied, zero-padded. Within a thread the loop runs K block
+// (256 rows: a panel stays L1-resident), then panel, then row tiles.
+// Transposed operands are packed (transposed) first. Rows of C are split
+// over the thread pool in quads with parallel_for_chunked.
+//
+// Every C entry sees the same scalar sequence, c = beta*c and then
+// c += (alpha*a_k)*b_k in ascending k, wherever it falls in the tiling or
+// the thread split. So an entry's bits do not depend on its tile or on the
+// matrix around it: batched and single-sample inference agree bit for bit.
 //
 // im2col/col2im lower stride-1 zero-"same"-padded NCHW convolution onto that
 // GEMM: im2col unrolls one sample's (C, H, W) plane into a (C*k*k) x (H*W)

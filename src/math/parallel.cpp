@@ -137,4 +137,17 @@ void parallel_for_chunked(std::size_t begin, std::size_t end,
 
 std::size_t num_threads() { return ThreadPool::instance().size() + 1; }
 
+// The worker flag is read and written only in this file: an inline access
+// from another translation unit goes through the thread_local wrapper,
+// which UBSan's null check misreports.
+void ThreadPool::register_worker_thread() { in_worker_ = true; }
+
+bool ThreadPool::is_worker_thread() { return in_worker_; }
+
+ScopedWorkerThread::ScopedWorkerThread() : was_worker_(ThreadPool::in_worker_) {
+  ThreadPool::in_worker_ = true;
+}
+
+ScopedWorkerThread::~ScopedWorkerThread() { ThreadPool::in_worker_ = was_worker_; }
+
 }  // namespace maps::math

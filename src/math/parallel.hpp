@@ -43,10 +43,12 @@ class ThreadPool {
   /// the pool's own workers. The runtime TaskQueue marks its workers this
   /// way so concurrently executing tasks never contend for the single-task
   /// global pool. Idempotent; scoped for the thread's lifetime.
-  static void register_worker_thread() { in_worker_ = true; }
-  static bool is_worker_thread() { return in_worker_; }
+  static void register_worker_thread();
+  static bool is_worker_thread();
 
  private:
+  friend class ScopedWorkerThread;
+
   struct Task {
     std::function<void(std::size_t, std::size_t)> body;
     std::size_t begin = 0, end = 0, chunk = 1;
@@ -65,6 +67,20 @@ class ThreadPool {
   Task* current_ = nullptr;
   bool stop_ = false;
   static thread_local bool in_worker_;
+};
+
+/// Runs the calling thread as a pool-equivalent worker for the guard's
+/// lifetime, so its parallel_for calls run serially inline (how a serve
+/// worker runs library code), then restores the thread's previous mode.
+class ScopedWorkerThread {
+ public:
+  ScopedWorkerThread();
+  ~ScopedWorkerThread();
+  ScopedWorkerThread(const ScopedWorkerThread&) = delete;
+  ScopedWorkerThread& operator=(const ScopedWorkerThread&) = delete;
+
+ private:
+  bool was_worker_ = false;
 };
 
 /// Convenience wrappers over the singleton pool.

@@ -29,17 +29,22 @@ Tensor Conv2d::run_forward(const Tensor& x, std::vector<float>& col) const {
   const index_t hw = H * W;
   const index_t ck2 = c_in_ * k_ * k_;
   Tensor y({N, c_out_, H, W});
-  col.resize(static_cast<std::size_t>(ck2 * hw));
+  if (k_ > 1) col.resize(static_cast<std::size_t>(ck2 * hw));
   const float* wp = w_.value.data();
   for (index_t n = 0; n < N; ++n) {
-    maps::math::im2col(x.data() + n * c_in_ * hw, c_in_, H, W, k_, col.data());
+    // A 1x1 kernel's column matrix is the input plane itself.
+    const float* cols = x.data() + n * c_in_ * hw;
+    if (k_ > 1) {
+      maps::math::im2col(cols, c_in_, H, W, k_, col.data());
+      cols = col.data();
+    }
     // Bias fills each output plane; the GEMM accumulates on top (beta = 1).
     float* yn = y.data() + n * c_out_ * hw;
     for (index_t co = 0; co < c_out_; ++co) {
       std::fill(yn + co * hw, yn + (co + 1) * hw, b_.value[co]);
     }
-    maps::math::sgemm(Trans::No, Trans::No, c_out_, hw, ck2, 1.0f, wp, ck2,
-                      col.data(), hw, 1.0f, yn, hw);
+    maps::math::sgemm(Trans::No, Trans::No, c_out_, hw, ck2, 1.0f, wp, ck2, cols,
+                      hw, 1.0f, yn, hw);
   }
   return y;
 }
@@ -78,20 +83,29 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // Weight gradient dW += dY_n * col(x_n)^T and input gradient
   // dX_n = col2im(W^T * dY_n), both as GEMMs over the per-sample column
   // buffer (recomputed here rather than cached: one (c_in*k*k) x (H*W)
-  // buffer instead of N of them).
+  // buffer instead of N of them). A 1x1 kernel needs neither buffer: the
+  // input plane is its column matrix and W^T * dY_n is dX_n itself.
   Tensor gx({N, c_in_, H, W});
-  col_.resize(static_cast<std::size_t>(ck2 * hw));
-  dcol_.resize(static_cast<std::size_t>(ck2 * hw));
+  if (k_ > 1) {
+    col_.resize(static_cast<std::size_t>(ck2 * hw));
+    dcol_.resize(static_cast<std::size_t>(ck2 * hw));
+  }
   const float* wp = w_.value.data();
   for (index_t n = 0; n < N; ++n) {
     const float* gy = grad_out.data() + n * c_out_ * hw;
-    maps::math::im2col(x.data() + n * c_in_ * hw, c_in_, H, W, k_, col_.data());
-    maps::math::sgemm(Trans::No, Trans::Yes, c_out_, ck2, hw, 1.0f, gy, hw,
-                      col_.data(), hw, 1.0f, w_.grad.data(), ck2);
+    const float* cols = x.data() + n * c_in_ * hw;
+    float* gxn = gx.data() + n * c_in_ * hw;
+    float* dcols = gxn;
+    if (k_ > 1) {
+      maps::math::im2col(cols, c_in_, H, W, k_, col_.data());
+      cols = col_.data();
+      dcols = dcol_.data();
+    }
+    maps::math::sgemm(Trans::No, Trans::Yes, c_out_, ck2, hw, 1.0f, gy, hw, cols,
+                      hw, 1.0f, w_.grad.data(), ck2);
     maps::math::sgemm(Trans::Yes, Trans::No, ck2, hw, c_out_, 1.0f, wp, ck2, gy,
-                      hw, 0.0f, dcol_.data(), hw);
-    maps::math::col2im(dcol_.data(), c_in_, H, W, k_,
-                       gx.data() + n * c_in_ * hw);
+                      hw, 0.0f, dcols, hw);
+    if (k_ > 1) maps::math::col2im(dcols, c_in_, H, W, k_, gxn);
   }
   return gx;
 }
@@ -151,18 +165,47 @@ namespace {
 constexpr double kInvSqrt2 = 0.7071067811865476;
 constexpr double kInvSqrt2Pi = 0.3989422804014327;
 
+/// Relu, Tanh and Sigmoid in double; GELU runs on gelu_f32 below.
 double act_forward(Act kind, double v) {
   switch (kind) {
     case Act::Relu:
       return v > 0 ? v : 0.0;
-    case Act::Gelu:
-      return 0.5 * v * (1.0 + std::erf(v * kInvSqrt2));
     case Act::Tanh:
       return std::tanh(v);
     case Act::Sigmoid:
       return 1.0 / (1.0 + std::exp(-v));
+    case Act::Gelu:
+      break;
   }
   return v;
+}
+
+/// y = 0.5 x (1 + erf(x / sqrt 2)) in fp32, with erf from Abramowitz &
+/// Stegun 7.1.28: erf(z) = 1 - t^-16, t = 1 + a1 z + ... + a6 z^6, z >= 0,
+/// |error| <= 3e-7. Odd symmetry gives 1 + erf(x / sqrt 2) = 2 - t^-16 for
+/// x >= 0 and t^-16 for x < 0, which skips the cancellation of 1 - erf.
+/// The loop tracks q = t^(2^j) - 1 while squaring, so the rounding of t is
+/// not raised to the 16th power. Branch-free (the sign selects by
+/// arithmetic) with no libm call, so the loop vectorizes on SSE2 too.
+/// Non-finite inputs follow the double definition: NaN -> NaN,
+/// +inf -> +inf, -inf -> NaN (-inf * 0); q overflowing to inf for large |x|
+/// is exact (t^-16 = 0).
+void gelu_f32(const float* x, float* y, index_t n) {
+  constexpr float a1 = 0.0705230784f, a2 = 0.0422820123f, a3 = 0.0092705272f,
+                  a4 = 0.0001520143f, a5 = 0.0002765672f, a6 = 0.0000430638f;
+  constexpr auto kInvSqrt2f = static_cast<float>(kInvSqrt2);
+  for (index_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float z = std::fabs(v) * kInvSqrt2f;
+    float q = z * (a1 + z * (a2 + z * (a3 + z * (a4 + z * (a5 + z * a6)))));
+    q *= 2.0f + q;
+    q *= 2.0f + q;
+    q *= 2.0f + q;
+    q *= 2.0f + q;
+    const float tail = 1.0f / (1.0f + q);  // erfc(|x| / sqrt 2)
+    const float sign = std::copysign(1.0f, v);
+    y[i] = 0.5f * v * ((1.0f + sign) - sign * tail);
+  }
 }
 
 double act_derivative(Act kind, double v) {
@@ -194,8 +237,12 @@ Tensor Activation::forward(const Tensor& x) {
 
 Tensor Activation::infer(const Tensor& x) const {
   Tensor y = x;
-  for (index_t i = 0; i < y.numel(); ++i) {
-    y[i] = static_cast<float>(act_forward(kind_, x[i]));
+  if (kind_ == Act::Gelu) {
+    gelu_f32(x.data(), y.data(), y.numel());
+  } else {
+    for (index_t i = 0; i < y.numel(); ++i) {
+      y[i] = static_cast<float>(act_forward(kind_, x[i]));
+    }
   }
   return y;
 }

@@ -12,7 +12,9 @@ namespace maps::nn {
 /// per sample, im2col unrolls the input into a (c_in*k*k) x (H*W) column
 /// matrix, the forward is one GEMM against the (c_out, c_in*k*k) weight
 /// matrix, the weight gradient is a GEMM over the same column buffer and the
-/// input gradient is a transposed GEMM followed by col2im.
+/// input gradient is a transposed GEMM followed by col2im. For k = 1 the
+/// input plane is the column matrix, so the GEMMs read and write the
+/// tensors directly, with no im2col/col2im copy and no column scratch.
 class Conv2d final : public Module {
  public:
   Conv2d(index_t c_in, index_t c_out, index_t k, maps::math::Rng& rng,
@@ -29,7 +31,7 @@ class Conv2d final : public Module {
 
  private:
   /// The im2col+GEMM forward shared by forward() and infer(); `col` is the
-  /// caller-provided per-sample column scratch.
+  /// caller-provided per-sample column scratch (untouched when k = 1).
   Tensor run_forward(const Tensor& x, std::vector<float>& col) const;
 
   index_t c_in_, c_out_, k_;
@@ -38,7 +40,7 @@ class Conv2d final : public Module {
   Param b_;  // (c_out)
   Tensor x_cache_;
   // Per-sample im2col scratch, reused across samples and steps ((c_in*k*k) x
-  // (H*W) floats — the memory cost of the GEMM lowering).
+  // (H*W) floats — the memory cost of the GEMM lowering; empty when k = 1).
   std::vector<float> col_, dcol_;
 };
 

@@ -1,8 +1,9 @@
 // GEMM substrate: blocked sgemm vs the naive reference over every transpose
-// combination, alpha/beta paths, leading-dimension handling, and the
-// im2col/col2im pair (layout, round-trip adjoint identity).
+// combination, alpha/beta paths, leading-dimension handling, tile-independent
+// rounding, and the im2col/col2im pair (layout, round-trip adjoint identity).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "math/gemm.hpp"
@@ -108,6 +109,58 @@ TEST(Sgemm, NonTightLeadingDims) {
                          lda, B.data(), ldb, 0.0f, C_ref.data(), ldc);
   // Only the M x N window should change; padding columns must be untouched.
   expect_near_all(C, C_ref, 1e-4);
+}
+
+TEST(Sgemm, EntriesDoNotDependOnTheirTile) {
+  // Each C entry must come out bit-identical whether it sits in a full
+  // register tile or a ragged one, in a full B panel or the padded last one,
+  // or in whichever rows a thread got: recompute row and column sub-blocks
+  // through offset pointers (which moves every entry to another tile
+  // position) and compare bits. Shapes cover M % 4 != 0, N % 16 != 0,
+  // N < 16 and K > 256 (two K blocks); batched inference relies on this.
+  struct Shape {
+    index_t M, N, K;
+    float alpha, beta;
+  };
+  struct Block {
+    index_t r0, rows, c0, cols;
+  };
+  for (const auto ta : {mm::Trans::No, mm::Trans::Yes}) {
+    for (const auto tb : {mm::Trans::No, mm::Trans::Yes}) {
+      for (const Shape& s : {Shape{13, 37, 300, 1.0f, 0.0f},
+                             Shape{7, 9, 270, 0.75f, 0.5f},
+                             Shape{22, 50, 33, 1.0f, 1.0f}}) {
+        const index_t lda = ta == mm::Trans::No ? s.K : s.M;
+        const index_t ldb = tb == mm::Trans::No ? s.N : s.K;
+        const auto A = random_vec(static_cast<std::size_t>(s.M * s.K), 61);
+        const auto B = random_vec(static_cast<std::size_t>(s.K * s.N), 67);
+        const auto C0 = random_vec(static_cast<std::size_t>(s.M * s.N), 71);
+        auto full = C0;
+        mm::sgemm(ta, tb, s.M, s.N, s.K, s.alpha, A.data(), lda, B.data(), ldb,
+                  s.beta, full.data(), s.N);
+        for (const Block& b : {Block{5, 1, 0, s.N}, Block{0, s.M, s.N - 1, 1},
+                               Block{1, s.M - 3, 3, s.N - 5},
+                               Block{s.M - 2, 2, 2, s.N / 2}}) {
+          const float* a = ta == mm::Trans::No ? A.data() + b.r0 * lda : A.data() + b.r0;
+          const float* bb = tb == mm::Trans::No ? B.data() + b.c0 : B.data() + b.c0 * ldb;
+          auto part = C0;
+          mm::sgemm(ta, tb, b.rows, b.cols, s.K, s.alpha, a, lda, bb, ldb, s.beta,
+                    part.data() + b.r0 * s.N + b.c0, s.N);
+          for (index_t i = 0; i < s.M; ++i) {
+            for (index_t j = 0; j < s.N; ++j) {
+              const bool inside = i >= b.r0 && i < b.r0 + b.rows && j >= b.c0 &&
+                                  j < b.c0 + b.cols;
+              const float want = inside ? full[i * s.N + j] : C0[i * s.N + j];
+              ASSERT_EQ(std::memcmp(&part[i * s.N + j], &want, sizeof(float)), 0)
+                  << "trans " << (ta == mm::Trans::Yes) << (tb == mm::Trans::Yes)
+                  << " shape " << s.M << "x" << s.N << "x" << s.K << " block at ("
+                  << b.r0 << ", " << b.c0 << ") entry (" << i << ", " << j << ")";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Im2col, LayoutMatchesDirectIndexing) {

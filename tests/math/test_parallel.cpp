@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "math/parallel.hpp"
 
@@ -48,6 +50,24 @@ TEST(Parallel, SequentialCallsReuseThePool) {
     mm::parallel_for(0, 64, [&](std::size_t) { count++; });
     ASSERT_EQ(count.load(), 64) << "round " << round;
   }
+}
+
+TEST(Parallel, ScopedWorkerThreadRunsInlineThenRestores) {
+  ASSERT_FALSE(mm::ThreadPool::is_worker_thread());
+  {
+    mm::ScopedWorkerThread serial;
+    EXPECT_TRUE(mm::ThreadPool::is_worker_thread());
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    mm::parallel_for(0, 64, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) elsewhere++;
+    });
+    EXPECT_EQ(elsewhere.load(), 0);
+  }
+  EXPECT_FALSE(mm::ThreadPool::is_worker_thread());
+  std::atomic<int> count{0};
+  mm::parallel_for(0, 64, [&](std::size_t) { count++; });
+  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(Parallel, NumThreadsPositive) { EXPECT_GE(mm::num_threads(), 1u); }

@@ -130,28 +130,36 @@ DirectConvGrads direct_conv_backward(const mn::Tensor& x, const mn::Tensor& w,
 }  // namespace
 
 TEST(Conv2dEquivalence, ForwardMatchesDirect) {
-  mm::Rng rng(5);
-  mn::Conv2d conv(3, 4, 3, rng);
-  const auto x = random_tensor({2, 3, 7, 6}, 6);
-  const auto y = conv.forward(x);
-  const auto y_ref = direct_conv_forward(x, conv.parameters()[0]->value,
-                                         conv.parameters()[1]->value);
-  expect_tensors_near(y, y_ref, 1e-5);
+  // 3x3 goes through im2col; 1x1 feeds the input plane to the GEMM as is.
+  for (const index_t k : {3, 1}) {
+    SCOPED_TRACE(k);
+    mm::Rng rng(5);
+    mn::Conv2d conv(3, 4, k, rng);
+    const auto x = random_tensor({2, 3, 7, 6}, 6);
+    const auto y = conv.forward(x);
+    const auto y_ref = direct_conv_forward(x, conv.parameters()[0]->value,
+                                           conv.parameters()[1]->value);
+    expect_tensors_near(y, y_ref, 1e-5);
+  }
 }
 
 TEST(Conv2dEquivalence, BackwardMatchesDirect) {
-  mm::Rng rng(7);
-  mn::Conv2d conv(2, 3, 5, rng);  // 5x5 kernel exercises wider shifts
-  const auto x = random_tensor({2, 2, 8, 9}, 8);
-  (void)conv.forward(x);
-  const auto gy = random_tensor({2, 3, 8, 9}, 9);
-  conv.zero_grad();
-  const auto gx = conv.backward(gy);
+  // 5x5 exercises wider shifts; 1x1 skips im2col/col2im entirely.
+  for (const index_t k : {5, 1}) {
+    SCOPED_TRACE(k);
+    mm::Rng rng(7);
+    mn::Conv2d conv(2, 3, k, rng);
+    const auto x = random_tensor({2, 2, 8, 9}, 8);
+    (void)conv.forward(x);
+    const auto gy = random_tensor({2, 3, 8, 9}, 9);
+    conv.zero_grad();
+    const auto gx = conv.backward(gy);
 
-  const auto ref = direct_conv_backward(x, conv.parameters()[0]->value, gy);
-  expect_tensors_near(conv.parameters()[0]->grad, ref.dw, 1e-4);
-  expect_tensors_near(conv.parameters()[1]->grad, ref.db, 1e-4);
-  expect_tensors_near(gx, ref.dx, 1e-5);
+    const auto ref = direct_conv_backward(x, conv.parameters()[0]->value, gy);
+    expect_tensors_near(conv.parameters()[0]->grad, ref.dw, 1e-4);
+    expect_tensors_near(conv.parameters()[1]->grad, ref.db, 1e-4);
+    expect_tensors_near(gx, ref.dx, 1e-5);
+  }
 }
 
 TEST(Conv2dEquivalence, GradAccumulationAcrossSteps) {

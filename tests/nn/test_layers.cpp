@@ -1,6 +1,11 @@
 // Layer gradient checks (parameters AND inputs) plus shape/behavior tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "math/rng.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/layers.hpp"
@@ -97,6 +102,53 @@ TEST(Activation, ReluClampsNegatives) {
   EXPECT_FLOAT_EQ(y[0], 0);
   EXPECT_FLOAT_EQ(y[2], 2);
   EXPECT_FLOAT_EQ(y[3], 0);
+}
+
+namespace {
+double gelu_reference(double x) { return 0.5 * x * (1.0 + std::erf(x / std::sqrt(2.0))); }
+}  // namespace
+
+TEST(Activation, GeluMatchesErfDefinition) {
+  // The fp32 GELU (forward and infer share one kernel) against the double
+  // erf definition on a dense grid over [-12, 12]; past it the kernel is
+  // exactly x or -0.
+  constexpr index_t kPoints = 240001;
+  mn::Tensor x({kPoints});
+  for (index_t i = 0; i < kPoints; ++i) {
+    x[i] = static_cast<float>(-12.0 + 24.0 * static_cast<double>(i) / (kPoints - 1));
+  }
+  mn::Activation gelu(mn::Act::Gelu);
+  const mn::Tensor via_infer = gelu.infer(x);
+  const mn::Tensor via_forward = gelu.forward(x);
+  ASSERT_EQ(std::memcmp(via_infer.data(), via_forward.data(),
+                        static_cast<std::size_t>(kPoints) * sizeof(float)),
+            0);
+  for (index_t i = 0; i < kPoints; ++i) {
+    const double v = x[i];
+    ASSERT_NEAR(via_infer[i], gelu_reference(v), 2e-6 * std::max(1.0, std::fabs(v)))
+        << "x = " << v;
+  }
+}
+
+TEST(Activation, GeluKeepsNonFiniteInputs) {
+  // Serve's confidence screen escalates on non-finite fields, so GELU must
+  // not launder them: NaN -> NaN, +inf -> +inf, and -inf -> whatever the
+  // double definition gives (NaN, from -inf * 0).
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  mn::Tensor x({3});
+  x[0] = std::numeric_limits<float>::quiet_NaN();
+  x[1] = kInf;
+  x[2] = -kInf;
+  mn::Activation gelu(mn::Act::Gelu);
+  const mn::Tensor y = gelu.infer(x);
+  EXPECT_TRUE(std::isnan(y[0]));
+  EXPECT_EQ(y[1], kInf);
+  const double ref = gelu_reference(-static_cast<double>(kInf));
+  if (std::isnan(ref)) {
+    EXPECT_TRUE(std::isnan(y[2]));
+  } else {
+    EXPECT_EQ(static_cast<double>(y[2]), ref);
+  }
 }
 
 TEST(GroupNorm, NormalizesPerGroup) {

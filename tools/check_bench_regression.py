@@ -46,6 +46,14 @@ Tracked ratios:
                                     workload (BENCH_speedup.json; baseline
                                     sits near 1.0 — the gate fails if
                                     instrumentation cost leaves the noise)
+  fdfd_full_vs_fno_infer_64         the full High-fidelity solve over the
+                                    served FNO's single-thread infer() at
+                                    n=64 (BENCH_speedup.json; gates the
+                                    fidelity axis's other end: the
+                                    surrogate must stay the cheap tier)
+
+Reported, not gated:
+  fdfd_full_vs_fno_infer_128        the same ordering at n=128
 
 Usage: check_bench_regression.py [fresh_dir] [baseline_dir]
   fresh_dir     directory with the just-emitted BENCH_*.json
@@ -177,6 +185,21 @@ TRACKED = [
         "ratio": lambda doc: ratio_from_benchmarks(
             doc, "BM_ServeObsOff", "BM_ServeObsInstrumented"),
     },
+    {
+        "name": "fdfd_full_vs_fno_infer_64",
+        "file": "BENCH_speedup.json",
+        "ratio": lambda doc: ratio_from_benchmarks(
+            doc, "BM_FdfdFullSolve/64", "BM_FnoInference/64"),
+    },
+]
+
+REPORTED = [
+    {
+        "name": "fdfd_full_vs_fno_infer_128",
+        "file": "BENCH_speedup.json",
+        "ratio": lambda doc: ratio_from_benchmarks(
+            doc, "BM_FdfdFullSolve/128", "BM_FnoInference/128"),
+    },
 ]
 
 
@@ -202,6 +225,13 @@ def main(argv):
               f"{base:.3f}x (floor {floor:.3f}x, tol {tol:.0%}) {status}")
         if fresh < floor:
             failures.append(metric["name"])
+
+    for metric in REPORTED:
+        fresh = metric["ratio"](load_json(os.path.join(fresh_dir, metric["file"])))
+        base = metric["ratio"](load_json(os.path.join(baseline_dir, metric["file"])))
+        shown = [f"{v:.3f}x" if v is not None else "n/a" for v in (fresh, base)]
+        print(f"[bench-gate] {metric['name']}: fresh {shown[0]} vs baseline "
+              f"{shown[1]} (reported, not gated)")
 
     if failures:
         print(f"[bench-gate] FAIL: regressed ratios: {', '.join(failures)}")

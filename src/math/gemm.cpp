@@ -1,9 +1,7 @@
 #include "math/gemm.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "math/parallel.hpp"
@@ -32,7 +30,7 @@ constexpr index_t kAcc = 8;
 constexpr index_t kTR = kAcc / kNV;    // rows per register tile
 constexpr index_t kMR = 4;             // rows per parallel work item (a quad)
 // K block: a (kKC x kNR) panel is 16 KB, so it stays L1-resident while every
-// row tile of the thread's share of C sweeps it.
+// row tile of the block being computed sweeps it.
 constexpr index_t kKC = 256;
 
 Vec load_vec(const float* p) {
@@ -84,17 +82,16 @@ void pad_panel(const float* B, index_t ldb, index_t kc, index_t nr, float* out) 
 /// so stale NaNs in C are never read).
 enum class Seed { Load, Scale, Zero };
 
-/// C[0:R, 0:kNR) += (alpha * A[0:R, 0:kc)) * B[0:kc, 0:kNR), with the tile
-/// held in registers. Every C element sees exactly the scalar sequence
-/// "c = beta * c, then c += (alpha * a_k) * b_k for ascending k", whatever
-/// R, the tile or the K block, so results do not depend on the tiling.
-/// kScaleA = false skips the alpha multiply, which is exact for alpha = 1.
-template <int R, bool kScaleA>
-void micro_kernel(index_t kc, float alpha, const float* A, index_t lda,
-                  const float* B, index_t ldb, Seed seed, float beta, float* C,
-                  index_t ldc) {
+/// C[0:R, 0:kNR) += A[0:R, 0:kc) * B[0:kc, 0:kNR), with the tile held in
+/// registers; A already holds alpha * a (see sgemm). Every C element sees
+/// exactly the scalar sequence "c = beta * c, then c += a_k * b_k for
+/// ascending k", whatever R, the tile or the K block, so results do not
+/// depend on the tiling.
+template <index_t R>
+void micro_kernel(index_t kc, const float* A, index_t lda, const float* B,
+                  index_t ldb, Seed seed, float beta, float* C, index_t ldc) {
   Vec acc[R][kNV];
-  for (int r = 0; r < R; ++r) {
+  for (index_t r = 0; r < R; ++r) {
     for (index_t v = 0; v < kNV; ++v) {
       if (seed == Seed::Zero) {
         acc[r][v] = Vec{};
@@ -107,50 +104,45 @@ void micro_kernel(index_t kc, float alpha, const float* A, index_t lda,
   for (index_t k = 0; k < kc; ++k) {
     Vec b[kNV];
     for (index_t v = 0; v < kNV; ++v) b[v] = load_vec(B + k * ldb + v * kLanes);
-    for (int r = 0; r < R; ++r) {
-      const float a = kScaleA ? alpha * A[r * lda + k] : A[r * lda + k];
+    for (index_t r = 0; r < R; ++r) {
+      const float a = A[r * lda + k];
       for (index_t v = 0; v < kNV; ++v) acc[r][v] += a * b[v];
     }
   }
-  for (int r = 0; r < R; ++r) {
+  for (index_t r = 0; r < R; ++r) {
     for (index_t v = 0; v < kNV; ++v) store_vec(C + r * ldc + v * kLanes, acc[r][v]);
   }
 }
 
-using TileKernel = void (*)(index_t, float, const float*, index_t, const float*,
-                           index_t, Seed, float, float*, index_t);
-
-/// micro_kernel<1..kTR, kScaleA>, indexed by rows - 1.
-template <bool kScaleA, std::size_t... R>
-constexpr std::array<TileKernel, sizeof...(R)> tile_kernels(std::index_sequence<R...>) {
-  return {&micro_kernel<static_cast<int>(R) + 1, kScaleA>...};
-}
-constexpr auto kTileKernels = tile_kernels<false>(std::make_index_sequence<kTR>());
-constexpr auto kScaledTileKernels = tile_kernels<true>(std::make_index_sequence<kTR>());
-
-void run_tile(index_t rows, index_t kc, float alpha, const float* A, index_t lda,
-              const float* B, index_t ldb, Seed seed, float beta, float* C,
-              index_t ldc) {
-  const auto& kernels = alpha == 1.0f ? kTileKernels : kScaledTileKernels;
-  kernels[static_cast<std::size_t>(rows - 1)](kc, alpha, A, lda, B, ldb, seed, beta,
-                                              C, ldc);
+/// micro_kernel<rows> for 1 <= rows <= R.
+template <index_t R>
+void run_tile(index_t rows, index_t kc, const float* A, index_t lda, const float* B,
+              index_t ldb, Seed seed, float beta, float* C, index_t ldc) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      run_tile<R - 1>(rows, kc, A, lda, B, ldb, seed, beta, C, ldc);
+      return;
+    }
+  }
+  micro_kernel<R>(kc, A, lda, B, ldb, seed, beta, C, ldc);
 }
 
-/// C rows [i_begin, i_end) = alpha * A * B + beta * C for row-major A
-/// (lda) and B (ldb). Loops run K block, then B panel, then row tiles, so
-/// each panel is loaded into L1 once per thread and reused by every tile.
-/// Full panels are read in place; the ragged last one (N % kNR columns) is
-/// copied into a zero-padded panel and its tiles go through a padded C tile.
-void gemm_rows(index_t i_begin, index_t i_end, index_t N, index_t K, float alpha,
-               const float* A, index_t lda, const float* B, index_t ldb,
-               float beta, float* C, index_t ldc) {
+/// The block C[i_begin:i_end, j_begin:j_end) = A * B + beta * C for
+/// row-major A (lda, alpha already applied) and B (ldb); j_begin is a
+/// multiple of kNR. Loops run K block, then B panel, then row tiles, so each
+/// panel is loaded into L1 once and reused by every tile of the block. Full
+/// panels are read in place; the ragged last one (N % kNR columns) is copied
+/// into a zero-padded panel and its tiles go through a padded C tile.
+void gemm_block(index_t i_begin, index_t i_end, index_t j_begin, index_t j_end,
+                index_t K, const float* A, index_t lda, const float* B,
+                index_t ldb, float beta, float* C, index_t ldc) {
   alignas(64) float b_pad[kKC * kNR];  // rows [0, kc) written before use
   alignas(64) float c_pad[kTR * kNR] = {};
   for (index_t k0 = 0; k0 < K; k0 += kKC) {
     const index_t kc = std::min(kKC, K - k0);
     const Seed seed = k0 > 0 ? Seed::Load : (beta == 0.0f ? Seed::Zero : Seed::Scale);
-    for (index_t j0 = 0; j0 < N; j0 += kNR) {
-      const index_t nr = std::min(kNR, N - j0);
+    for (index_t j0 = j_begin; j0 < j_end; j0 += kNR) {
+      const index_t nr = std::min(kNR, j_end - j0);
       const float* panel = B + k0 * ldb + j0;
       index_t ldp = ldb;
       if (nr < kNR) {
@@ -163,13 +155,13 @@ void gemm_rows(index_t i_begin, index_t i_end, index_t N, index_t K, float alpha
         const float* a = A + i0 * lda + k0;
         float* c = C + i0 * ldc + j0;
         if (nr == kNR) {
-          run_tile(rows, kc, alpha, a, lda, panel, ldp, seed, beta, c, ldc);
+          run_tile<kTR>(rows, kc, a, lda, panel, ldp, seed, beta, c, ldc);
           continue;
         }
         for (index_t r = 0; r < rows; ++r) {
           std::copy_n(c + r * ldc, nr, c_pad + r * kNR);
         }
-        run_tile(rows, kc, alpha, a, lda, panel, ldp, seed, beta, c_pad, kNR);
+        run_tile<kTR>(rows, kc, a, lda, panel, ldp, seed, beta, c_pad, kNR);
         for (index_t r = 0; r < rows; ++r) {
           std::copy_n(c_pad + r * kNR, nr, c + r * ldc);
         }
@@ -208,13 +200,23 @@ void sgemm(Trans trans_a, Trans trans_b, index_t M, index_t N, index_t K,
   }
 
   // The kernel reads row-major operands in place through their leading
-  // dimensions; only a transposed operand is packed (transposed) first.
+  // dimensions; a transposed operand is packed (transposed) first. A is also
+  // packed when alpha != 1, as alpha * a: the same rounded product the
+  // kernel would otherwise form at every k step of every tile, so the bits
+  // do not change and the kernel's inner loop carries no alpha multiply.
   std::vector<float> a_buf, b_buf;
   const float* Ap = A;
   index_t lda_p = lda;
-  if (trans_a == Trans::Yes) {
+  if (trans_a == Trans::Yes || alpha != 1.0f) {
     a_buf.resize(static_cast<std::size_t>(M) * K);
-    pack_transposed(A, M, K, lda, a_buf.data());
+    if (trans_a == Trans::Yes) {
+      pack_transposed(A, M, K, lda, a_buf.data());
+    } else {
+      for (index_t i = 0; i < M; ++i) std::copy_n(A + i * lda, K, a_buf.data() + i * K);
+    }
+    if (alpha != 1.0f) {
+      for (float& v : a_buf) v *= alpha;
+    }
     Ap = a_buf.data();
     lda_p = K;
   }
@@ -227,17 +229,28 @@ void sgemm(Trans trans_a, Trans trans_b, index_t M, index_t N, index_t K,
     ldb_p = N;
   }
 
-  // One chunk = a run of whole row quads, so no two threads share a C row.
-  // The quad count is the parallel iteration space.
-  const index_t quads = (M + kMR - 1) / kMR;
-  parallel_for_chunked(0, static_cast<std::size_t>(quads),
-                       [&](std::size_t q0, std::size_t q1) {
-                         const index_t i_begin = static_cast<index_t>(q0) * kMR;
-                         const index_t i_end =
-                             std::min(M, static_cast<index_t>(q1) * kMR);
-                         gemm_rows(i_begin, i_end, N, K, alpha, Ap, lda_p, Bp,
-                                   ldb_p, beta, C, ldc);
-                       });
+  // Each chunk of the thread split re-reads one operand in full: all of B
+  // when chunks are runs of row quads, all of A when they are runs of column
+  // panels. Split the dimension whose whole operand is the larger one (rows
+  // of A when M >= N), so the smaller one is what gets re-read. Chunks never
+  // share a C entry, and an entry's bits do not depend on its block.
+  if (M >= N) {
+    const index_t quads = (M + kMR - 1) / kMR;
+    parallel_for_chunked(0, static_cast<std::size_t>(quads),
+                         [&](std::size_t q0, std::size_t q1) {
+                           gemm_block(static_cast<index_t>(q0) * kMR,
+                                      std::min(M, static_cast<index_t>(q1) * kMR),
+                                      0, N, K, Ap, lda_p, Bp, ldb_p, beta, C, ldc);
+                         });
+  } else {
+    const index_t panels = (N + kNR - 1) / kNR;
+    parallel_for_chunked(0, static_cast<std::size_t>(panels),
+                         [&](std::size_t p0, std::size_t p1) {
+                           gemm_block(0, M, static_cast<index_t>(p0) * kNR,
+                                      std::min(N, static_cast<index_t>(p1) * kNR),
+                                      K, Ap, lda_p, Bp, ldb_p, beta, C, ldc);
+                         });
+  }
 }
 
 void im2col(const float* x, index_t C, index_t H, index_t W, index_t k, float* col) {

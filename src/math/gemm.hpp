@@ -8,8 +8,11 @@
 // loads of A and B. Panels are read in place through ldb; only the ragged
 // last one is copied, zero-padded. Within a thread the loop runs K block
 // (256 rows: a panel stays L1-resident), then panel, then row tiles.
-// Transposed operands are packed (transposed) first. Rows of C are split
-// over the thread pool in quads with parallel_for_chunked.
+// Transposed operands are packed (transposed) first, and A is packed as
+// alpha*a when alpha != 1, so the kernel carries no alpha. The thread split
+// (parallel_for_chunked) runs over row quads of C when M >= N and over
+// column panels otherwise: each chunk re-reads the other operand in full, so
+// the split leaves the smaller of A and B to be re-read.
 //
 // Every C entry sees the same scalar sequence, c = beta*c and then
 // c += (alpha*a_k)*b_k in ascending k, wherever it falls in the tiling or

@@ -236,7 +236,7 @@ Tensor Activation::forward(const Tensor& x) {
 }
 
 Tensor Activation::infer(const Tensor& x) const {
-  Tensor y = x;
+  Tensor y(x.shape());
   if (kind_ == Act::Gelu) {
     gelu_f32(x.data(), y.data(), y.numel());
   } else {
@@ -249,7 +249,7 @@ Tensor Activation::infer(const Tensor& x) const {
 
 Tensor Activation::backward(const Tensor& grad_out) {
   require(x_cache_.same_shape(grad_out), "Activation::backward: shape mismatch");
-  Tensor gx = grad_out;
+  Tensor gx(grad_out.shape());
   for (index_t i = 0; i < gx.numel(); ++i) {
     gx[i] = static_cast<float>(grad_out[i] * act_derivative(kind_, x_cache_[i]));
   }

@@ -114,9 +114,9 @@ TEST(Sgemm, NonTightLeadingDims) {
 TEST(Sgemm, EntriesDoNotDependOnTheirTile) {
   // Each C entry must come out bit-identical whether it sits in a full
   // register tile or a ragged one, in a full B panel or the padded last one,
-  // or in whichever rows a thread got: recompute row and column sub-blocks
-  // through offset pointers (which moves every entry to another tile
-  // position) and compare bits. Shapes cover M % 4 != 0, N % 16 != 0,
+  // or in whichever rows or columns a thread got: recompute row and column
+  // sub-blocks through offset pointers (which moves every entry to another
+  // tile position and can flip the thread split) and compare bits. Shapes cover M % 4 != 0, N % 16 != 0,
   // N < 16 and K > 256 (two K blocks); batched inference relies on this.
   struct Shape {
     index_t M, N, K;

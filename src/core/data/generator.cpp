@@ -2,9 +2,7 @@
 
 #include "fdfd/adjoint.hpp"
 #include "math/interpolate.hpp"
-#include "math/parallel.hpp"
 #include "runtime/datagen.hpp"
-#include "solver/backend.hpp"
 
 namespace maps::data {
 
@@ -90,15 +88,24 @@ SampleRecord simulate_sample(const devices::DeviceProblem& device,
 std::vector<SampleRecord> simulate_pattern(const devices::DeviceProblem& device,
                                            const RealGrid& density,
                                            std::uint64_t pattern_id,
-                                           const std::string& strategy) {
+                                           const std::string& strategy,
+                                           solver::SolverStats* work) {
   const RealGrid base_eps = param::embed_density(device.design_map, density);
   std::vector<SampleRecord> records(device.excitations.size());
 
   for (const auto& group : device.excitation_groups()) {
     // Patterns are unique per call, so the device cache would only thrash:
-    // solve the group against a throwaway backend (use_cache = false).
+    // solve the group against a throwaway backend (use_cache = false), whose
+    // counters are then exactly this group's work.
     auto gs = device.solve_excitation_group(base_eps, group, /*with_adjoint=*/true,
                                             /*use_cache=*/false);
+    if (work != nullptr) {
+      const solver::SolverStats spent = gs.sim.backend().stats();
+      work->factorizations += spent.factorizations;
+      work->solves += spent.solves;
+      work->refine_iterations += spent.refine_iterations;
+      work->refine_fallbacks += spent.refine_fallbacks;
+    }
     const auto& W = gs.sim.backend().W();
     for (std::size_t k = 0; k < group.size(); ++k) {
       const auto& exc = device.excitations[group[k]];
@@ -111,98 +118,12 @@ std::vector<SampleRecord> simulate_pattern(const devices::DeviceProblem& device,
   return records;
 }
 
-PreparedPattern prepare_pattern(const devices::DeviceProblem& device,
-                                const RealGrid& density, std::size_t position,
-                                std::uint64_t pattern_id) {
-  PreparedPattern pp;
-  pp.position = position;
-  pp.pattern_id = pattern_id;
-  pp.density = density;
-  pp.base_eps = param::embed_density(device.design_map, density);
-  pp.groups = device.excitation_groups();
-  pp.group_backends.reserve(pp.groups.size());
-  for (const auto& group : pp.groups) {
-    const auto& first = device.excitations[group.front()];
-    const RealGrid eps = device.excitation_eps(pp.base_eps, first);
-    // Direct backends take the LDL^T band-direct path by default, so
-    // one make_backend call covers every solver kind.
-    std::shared_ptr<solver::SolverBackend> backend =
-        solver::make_backend(device.spec, eps, first.omega, device.sim_options.pml,
-                             device.sim_options.solver_config());
-    backend->factorize();
-    pp.group_backends.push_back(std::move(backend));
-  }
-  return pp;
-}
-
-std::vector<SampleRecord> solve_prepared(const devices::DeviceProblem& device,
-                                         const PreparedPattern& prepared,
-                                         const std::string& strategy) {
-  maps::require(prepared.groups.size() == prepared.group_backends.size(),
-                "solve_prepared: prepared pattern is inconsistent");
-  std::vector<SampleRecord> records(device.excitations.size());
-
-  for (std::size_t g = 0; g < prepared.groups.size(); ++g) {
-    const auto& group = prepared.groups[g];
-    auto& backend = *prepared.group_backends[g];
-    const double omega = device.excitations[group.front()].omega;
-
-    std::vector<std::vector<cplx>> rhs;
-    rhs.reserve(group.size());
-    for (const std::size_t e : group) {
-      rhs.push_back(fdfd::rhs_from_current(device.excitations[e].J, omega));
-    }
-    auto xs = backend.solve_batch(rhs);
-    std::vector<CplxGrid> fields;
-    fields.reserve(xs.size());
-    for (auto& x : xs) fields.emplace_back(device.spec.nx, device.spec.ny, std::move(x));
-
-    std::vector<const CplxGrid*> ez_ptrs;
-    std::vector<const std::vector<fdfd::FomTerm>*> term_ptrs;
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      ez_ptrs.push_back(&fields[k]);
-      term_ptrs.push_back(&device.excitations[group[k]].terms);
-    }
-    auto adjoints =
-        fdfd::compute_adjoint_batch(backend, device.spec, omega, ez_ptrs, term_ptrs);
-
-    const auto& W = backend.W();
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      const auto& exc = device.excitations[group[k]];
-      SampleRecord s = record_shell(device, prepared.density, prepared.base_eps, exc,
-                                    prepared.pattern_id, strategy);
-      finish_record(s, exc, W, std::move(fields[k]), std::move(adjoints[k]));
-      records[group[k]] = std::move(s);
-    }
-  }
-  return records;
-}
-
 Dataset generate_dataset(const devices::DeviceProblem& device,
                          const PatternSet& patterns) {
   maps::require(patterns.densities.size() == patterns.ids.size(),
                 "generate_dataset: pattern/ids mismatch");
   runtime::DatagenPhase phase{&device, &patterns, 1};
   return runtime::generate_pipelined({phase}, device.name + ":" + patterns.strategy);
-}
-
-Dataset generate_dataset_reference(const devices::DeviceProblem& device,
-                                   const PatternSet& patterns) {
-  maps::require(patterns.densities.size() == patterns.ids.size(),
-                "generate_dataset_reference: pattern/ids mismatch");
-  Dataset ds;
-  ds.name = device.name + ":" + patterns.strategy;
-  const std::size_t n_exc = device.excitations.size();
-  ds.samples.resize(patterns.densities.size() * n_exc);
-
-  maps::math::parallel_for(0, patterns.densities.size(), [&](std::size_t p) {
-    auto records = simulate_pattern(device, patterns.densities[p], patterns.ids[p],
-                                    patterns.strategy);
-    for (std::size_t e = 0; e < n_exc; ++e) {
-      ds.samples[p * n_exc + e] = std::move(records[e]);
-    }
-  });
-  return ds;
 }
 
 PatternSet upsample_patterns(const PatternSet& patterns,
@@ -224,8 +145,8 @@ Dataset generate_multifidelity(const devices::DeviceProblem& device_lo,
   PatternSet hi_patterns = upsample_patterns(patterns, device_hi);
   const int factor = static_cast<int>(device_hi.spec.nx / device_lo.spec.nx);
 
-  // Both fidelity levels ride one pipeline: the prep stage of the first
-  // high-fidelity pattern overlaps the tail of the low-fidelity solves.
+  // Both fidelity levels ride one run: the first high-fidelity patterns
+  // start while the last low-fidelity ones are still in flight.
   const std::vector<runtime::DatagenPhase> phases = {
       {&device_lo, &patterns, 1}, {&device_hi, &hi_patterns, factor}};
   Dataset ds = runtime::generate_pipelined(

@@ -2,15 +2,10 @@
 // labels, with multi-fidelity pairing (Sec. III-A.3: the same physical
 // pattern simulated at both resolutions).
 //
-// generate_dataset / generate_multifidelity ride the async pipeline in
-// src/runtime/datagen.hpp (stage-parallel prep -> solve -> collect, with the
-// LDL^T prepared-operator fast path for direct solves). The seed
-// per-pattern parallel_for implementation is preserved as
-// generate_dataset_reference for equivalence tests and as the baseline of
-// bench_datagen_throughput.
+// simulate_pattern is the one per-pattern simulation path. generate_dataset
+// and generate_multifidelity hand each pattern to it as one task of the
+// runtime in src/runtime/datagen.hpp.
 #pragma once
-
-#include <memory>
 
 #include "core/data/dataset.hpp"
 #include "core/data/sampler.hpp"
@@ -23,42 +18,6 @@ namespace maps::data {
 Dataset generate_dataset(const devices::DeviceProblem& device,
                          const PatternSet& patterns);
 
-/// The seed implementation (blocking parallel_for over simulate_pattern on
-/// the same LDL^T direct solver): kept as the regression baseline
-/// the pipelined path is benchmarked against. Labels agree with
-/// generate_dataset to rounding (~1e-12 relative on fields).
-Dataset generate_dataset_reference(const devices::DeviceProblem& device,
-                                   const PatternSet& patterns);
-
-/// ------------------------- pipeline stage units --------------------------
-/// The runtime pipeline (src/runtime/datagen.cpp) splits a pattern's
-/// simulation into two stages so factorization of pattern i+1 overlaps
-/// back-substitution of pattern i.
-
-/// Stage 1 output: the pattern rendered onto the device grid plus one
-/// *factorized* solver backend per excitation group. Direct-solver devices
-/// ride the LDL^T band-direct kernel, which is the default
-/// DirectBandedBackend path (solver/direct.hpp).
-struct PreparedPattern {
-  std::size_t position = 0;   // index into the PatternSet
-  std::uint64_t pattern_id = 0;
-  maps::math::RealGrid density;
-  maps::math::RealGrid base_eps;
-  std::vector<std::vector<std::size_t>> groups;  // excitation index groups
-  std::vector<std::shared_ptr<solver::SolverBackend>> group_backends;
-};
-
-PreparedPattern prepare_pattern(const devices::DeviceProblem& device,
-                                const maps::math::RealGrid& density,
-                                std::size_t position, std::uint64_t pattern_id);
-
-/// Stage 2: batched forward + adjoint solves against the prepared backends
-/// and label extraction; records in excitation order. Equivalent to
-/// simulate_pattern modulo solver rounding.
-std::vector<SampleRecord> solve_prepared(const devices::DeviceProblem& device,
-                                         const PreparedPattern& prepared,
-                                         const std::string& strategy);
-
 /// Simulate one density through one excitation (exposed for tests and for
 /// on-the-fly verification in the NN-in-the-loop case study).
 SampleRecord simulate_sample(const devices::DeviceProblem& device,
@@ -70,11 +29,13 @@ SampleRecord simulate_sample(const devices::DeviceProblem& device,
 /// excitation order). Excitations sharing an operator are pushed through one
 /// batched multi-RHS forward solve and one batched transposed adjoint solve,
 /// so a K-excitation device costs one factorization + 2K back-substitutions
-/// instead of K factorizations.
+/// instead of K factorizations. Each group's factors are freed before the
+/// call returns. `work`, when set, accumulates the solver work done.
 std::vector<SampleRecord> simulate_pattern(const devices::DeviceProblem& device,
                                            const maps::math::RealGrid& density,
                                            std::uint64_t pattern_id,
-                                           const std::string& strategy);
+                                           const std::string& strategy,
+                                           solver::SolverStats* work = nullptr);
 
 /// Multi-fidelity pairing: render each (coarse design-grid) pattern on both
 /// the low- and high-fidelity device and simulate both. Samples share

@@ -61,10 +61,10 @@ struct DataGenConfig {
   int fidelity = 1;
   bool multi_fidelity = false;  // pair each pattern at fidelity and 2x
   SolverSettings solver;
-  /// Soft cap on the memory the pipeline's in-flight window may commit to
-  /// resident direct-solve factors (MB). 0 keeps the fixed workers+2 window; a budget
-  /// derives max_inflight from the per-pattern factor_bytes() estimate so
-  /// large grids stop over-committing memory.
+  /// Soft cap on the memory datagen's in-flight window may commit to
+  /// direct-solve factors (MB). 0 keeps the fixed workers+2 window; a budget
+  /// clamps the window by the per-pattern factor_bytes() estimate so large
+  /// grids stop over-committing memory.
   int memory_budget_mb = 0;
   data::SamplerOptions sampler;
   std::string output = "dataset.mapsd";

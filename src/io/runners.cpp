@@ -85,8 +85,8 @@ void probe_writable(const std::string& path) {
   if (!existed) std::remove(path.c_str());
 }
 
-/// Aggregate hit/miss counters of the (deduplicated) device caches. The
-/// pipeline's prepared backends bypass the cache on purpose (every pattern
+/// Aggregate hit/miss counters of the (deduplicated) device caches.
+/// Datagen's per-pattern tasks bypass the cache on purpose (every pattern
 /// is a fresh operator), so the job-wide delta reflects the phases that do
 /// reuse operators — trajectory sampling above all.
 solver::CacheStats device_cache_stats(

@@ -11,7 +11,6 @@
 #include <set>
 #include <utility>
 
-#include "math/parallel.hpp"
 #include "obs/log.hpp"
 #include "runtime/task_queue.hpp"
 #include "solver/cache.hpp"
@@ -30,14 +29,6 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
 struct WorkItem {
   int phase = 0;
   std::size_t pos = 0;
-};
-
-struct SolvedPattern {
-  std::vector<data::SampleRecord> records;
-  int factorizations = 0;
-  int solves = 0;
-  int refine_iterations = 0;  // mixed-precision refinement work (0 = double)
-  int refine_fallbacks = 0;
 };
 
 void validate_phases(const std::vector<DatagenPhase>& phases) {
@@ -64,136 +55,91 @@ solver::CacheStats cache_snapshot(const std::vector<DatagenPhase>& phases) {
   return total;
 }
 
-/// The stage-parallel core: runs every item through prep and solve tasks on
-/// a TaskQueue and hands finished patterns to `commit` in submission order.
-void run_pipeline(const std::vector<DatagenPhase>& phases,
-                  const std::vector<WorkItem>& items, const DatagenOptions& opts,
-                  DatagenStats& stats,
-                  const std::function<void(const WorkItem&, SolvedPattern&&)>& commit) {
+/// Factor-memory clamp of the in-flight window (see
+/// DatagenOptions::memory_budget_mb). The estimate is the worst
+/// (largest-grid) phase: any window slot may factorize any phase.
+std::size_t window_size(const std::vector<DatagenPhase>& phases,
+                        const DatagenOptions& opts, std::size_t workers) {
+  const std::size_t window = workers + 2;
+  if (opts.memory_budget_mb == 0) return window;
+  std::size_t per_pattern = 0;
+  for (const auto& ph : phases) {
+    per_pattern = std::max(per_pattern,
+                           solver::DirectBandedBackend::estimate_factor_bytes(
+                               ph.device->spec, ph.device->sim_options.precision));
+  }
+  if (per_pattern == 0) return window;
+  const std::size_t budget_bytes = opts.memory_budget_mb * (std::size_t{1} << 20);
+  const std::size_t cap = std::max<std::size_t>(1, budget_bytes / per_pattern);
+  if (cap >= window) return window;
+  if (opts.log != nullptr) {
+    obs::log_to(opts.log, obs::LogLevel::Info, "datagen",
+                "memory budget " + std::to_string(opts.memory_budget_mb) +
+                    " MB caps in-flight window at " + std::to_string(cap) + " (est. " +
+                    std::to_string(per_pattern >> 20) + " MB/pattern)");
+  }
+  return cap;
+}
+
+/// Runs every item as one simulate_pattern task on a TaskQueue, keeping at
+/// most window_size() tasks in flight, and hands each item's records to
+/// `commit` on the calling thread, strictly in item order.
+void run_pipeline(
+    const std::vector<DatagenPhase>& phases, const std::vector<WorkItem>& items,
+    const DatagenOptions& opts, DatagenStats& stats,
+    const std::function<void(const WorkItem&, std::vector<data::SampleRecord>&&)>&
+        commit) {
+  struct Simulated {
+    std::vector<data::SampleRecord> records;
+    solver::SolverStats work;
+  };
   const auto t_start = Clock::now();
   const auto cache_before = cache_snapshot(phases);
 
   TaskQueue queue(opts.workers);
-  std::size_t inflight = opts.max_inflight;
-  if (inflight == 0) {
-    inflight = queue.worker_count() + 2;
-    if (opts.memory_budget_mb > 0) {
-      // Clamp the window so its resident prepared factorizations fit the
-      // budget. The estimate is the worst (largest-grid) phase: every window
-      // slot may hold a prepared backend for any phase.
-      std::size_t per_pattern = 0;
-      for (const auto& ph : phases) {
-        per_pattern = std::max(per_pattern,
-                               solver::DirectBandedBackend::estimate_factor_bytes(
-                                   ph.device->spec, ph.device->sim_options.precision));
-      }
-      const std::size_t budget_bytes = opts.memory_budget_mb * (std::size_t{1} << 20);
-      if (per_pattern > 0) {
-        const std::size_t cap = std::max<std::size_t>(1, budget_bytes / per_pattern);
-        if (cap < inflight) {
-          inflight = cap;
-          if (opts.log != nullptr) {
-            obs::log_to(opts.log, obs::LogLevel::Info, "datagen",
-                        "memory budget " + std::to_string(opts.memory_budget_mb) +
-                            " MB caps in-flight window at " +
-                            std::to_string(inflight) + " (est. " +
-                            std::to_string(per_pattern >> 20) + " MB/pattern)");
-          }
-        }
-      }
-    }
-  }
-
-  std::deque<std::pair<WorkItem, Future<data::PreparedPattern>>> prep_win;
-  std::deque<std::pair<WorkItem, Future<SolvedPattern>>> solve_win;
-  std::size_t next = 0, done = 0;
+  const std::size_t window = window_size(phases, opts, queue.worker_count());
+  std::deque<Future<Simulated>> inflight;  // items[done], items[done + 1], ...
+  std::size_t next = 0;
   auto t_last_progress = t_start;
 
-  while (done < items.size()) {
-    // Keep the bounded window full (backpressure: at most `inflight`
-    // patterns hold prepared factorizations at once).
-    while (next < items.size() && prep_win.size() + solve_win.size() < inflight) {
+  for (std::size_t done = 0; done < items.size();) {
+    while (next < items.size() && inflight.size() < window) {
       const WorkItem w = items[next++];
       const DatagenPhase& ph = phases[static_cast<std::size_t>(w.phase)];
-      prep_win.emplace_back(w, queue.submit([&ph, w] {
-        return data::prepare_pattern(*ph.device, ph.patterns->densities[w.pos], w.pos,
-                                     ph.patterns->ids[w.pos]);
+      inflight.push_back(queue.submit([&ph, w] {
+        Simulated sim;
+        sim.records = data::simulate_pattern(*ph.device, ph.patterns->densities[w.pos],
+                                             ph.patterns->ids[w.pos],
+                                             ph.patterns->strategy, &sim.work);
+        for (auto& r : sim.records) r.fidelity = ph.fidelity_tag;
+        return sim;
       }));
     }
 
-    // Chain the solve stage of every prepared pattern, not just the oldest:
-    // a straggling prep (e.g. a slow iterative factorization) must not
-    // head-of-line-block the solves of patterns already prepared. Commit
-    // order below follows solve submission order — safe, because the memory
-    // sink scatters by (phase, position) and the shard sink's manifest
-    // records its append order, so final dataset bytes are order-independent.
-    bool chained = false;
-    for (auto it = prep_win.begin(); it != prep_win.end();) {
-      if (!it->second.ready()) {
-        ++it;
-        continue;
-      }
-      auto [w, fut] = std::move(*it);
-      it = prep_win.erase(it);
-      data::PreparedPattern prepared = fut.get();  // rethrows prep failures
-      const DatagenPhase& ph = phases[static_cast<std::size_t>(w.phase)];
-      solve_win.emplace_back(
-          w, queue.submit([&ph, pp = std::move(prepared)]() mutable {
-            SolvedPattern sp;
-            sp.records = data::solve_prepared(*ph.device, pp, ph.patterns->strategy);
-            for (auto& r : sp.records) r.fidelity = ph.fidelity_tag;
-            for (const auto& b : pp.group_backends) {
-              sp.factorizations += b->factorization_count();
-              sp.solves += b->solve_count();
-              sp.refine_iterations += b->refinement_iteration_count();
-              sp.refine_fallbacks += b->refinement_fallback_count();
-            }
-            return sp;
-          }));
-      chained = true;
-    }
-    if (chained) continue;
+    Simulated sim = inflight.front().get();  // blocks; rethrows task failures
+    inflight.pop_front();
+    stats.samples += sim.records.size();
+    stats.factorizations += sim.work.factorizations;
+    stats.solves += sim.work.solves;
+    stats.refine_iterations += sim.work.refine_iterations;
+    stats.refine_fallbacks += sim.work.refine_fallbacks;
+    commit(items[done], std::move(sim.records));
+    ++stats.patterns;
+    ++done;
 
-    // Solved pattern ready: commit (oldest-submitted first).
-    if (!solve_win.empty() && solve_win.front().second.ready()) {
-      auto [w, fut] = std::move(solve_win.front());
-      solve_win.pop_front();
-      SolvedPattern sp = fut.get();  // rethrows solve failures
-      stats.samples += sp.records.size();
-      stats.factorizations += sp.factorizations;
-      stats.solves += sp.solves;
-      stats.refine_iterations += sp.refine_iterations;
-      stats.refine_fallbacks += sp.refine_fallbacks;
-      commit(w, std::move(sp));
-      ++stats.patterns;
-      ++done;
-
-      const auto now = Clock::now();
-      stats.seconds = seconds_between(t_start, now);
-      if (opts.log != nullptr && opts.progress_every_s > 0 &&
-          seconds_between(t_last_progress, now) >= opts.progress_every_s &&
-          done < items.size()) {
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "%zu/%zu patterns | %.2f patterns/s | %.1f solves/s",
-                      done, items.size(), stats.patterns_per_s(),
-                      stats.solves_per_s());
-        obs::log_to(opts.log, obs::LogLevel::Info, "datagen", line);
-        t_last_progress = now;
-      }
-      if (opts.after_pattern) opts.after_pattern(done);
-      continue;
+    const auto now = Clock::now();
+    stats.seconds = seconds_between(t_start, now);
+    if (opts.log != nullptr && opts.progress_every_s > 0 &&
+        seconds_between(t_last_progress, now) >= opts.progress_every_s &&
+        done < items.size()) {
+      char line[160];
+      std::snprintf(line, sizeof(line),
+                    "%zu/%zu patterns | %.2f patterns/s | %.1f solves/s", done,
+                    items.size(), stats.patterns_per_s(), stats.solves_per_s());
+      obs::log_to(opts.log, obs::LogLevel::Info, "datagen", line);
+      t_last_progress = now;
     }
-
-    // Nothing ready: block on the oldest outstanding stage. Workers stay
-    // busy on the queued window meanwhile.
-    if (!solve_win.empty()) {
-      solve_win.front().second.wait();
-    } else if (!prep_win.empty()) {
-      prep_win.front().second.wait();
-    } else {
-      break;  // defensive: no work in flight and nothing to submit
-    }
+    if (opts.after_pattern) opts.after_pattern(done);
   }
 
   stats.seconds = seconds_between(t_start, Clock::now());
@@ -231,7 +177,7 @@ data::Dataset generate_pipelined(const std::vector<DatagenPhase>& phases,
   maps::require(opts.shard.single(),
                 "generate_pipelined: sharded runs go through generate_sharded");
 
-  // Phase-major sample layout, matching the reference path's ordering.
+  // Phase-major sample layout.
   std::vector<std::size_t> phase_offset(phases.size(), 0);
   std::size_t total = 0;
   std::vector<WorkItem> items;
@@ -249,12 +195,12 @@ data::Dataset generate_pipelined(const std::vector<DatagenPhase>& phases,
   ds.samples.resize(total);
   DatagenStats stats;
   run_pipeline(phases, items, opts, stats,
-               [&](const WorkItem& w, SolvedPattern&& sp) {
-                 const std::size_t n_exc = sp.records.size();  // one per excitation
+               [&](const WorkItem& w, std::vector<data::SampleRecord>&& records) {
+                 const std::size_t n_exc = records.size();  // one per excitation
                  const std::size_t base =
                      phase_offset[static_cast<std::size_t>(w.phase)] + w.pos * n_exc;
-                 for (std::size_t e = 0; e < sp.records.size(); ++e) {
-                   ds.samples[base + e] = std::move(sp.records[e]);
+                 for (std::size_t e = 0; e < n_exc; ++e) {
+                   ds.samples[base + e] = std::move(records[e]);
                  }
                });
   if (stats_out != nullptr) *stats_out = stats;
@@ -368,8 +314,8 @@ DatagenStats generate_sharded(const std::vector<DatagenPhase>& phases,
   journal.compact(manifest, manifest_path);
 
   run_pipeline(phases, items, opts, stats,
-               [&](const WorkItem& w, SolvedPattern&& sp) {
-                 for (const auto& r : sp.records) data::write_sample(part, r);
+               [&](const WorkItem& w, std::vector<data::SampleRecord>&& records) {
+                 for (const auto& r : records) data::write_sample(part, r);
                  part.flush();
                  maps::require(part.good(),
                                "generate_sharded: write failed for " + part_path);
@@ -470,7 +416,24 @@ data::Dataset merge_shards(const std::string& output, int shard_count,
   const std::uint64_t m = manifests.front().patterns_total;
   const std::uint64_t spp = manifests.front().samples_per_pattern;
   const int phases = manifests.front().phases;
-  const std::size_t total = static_cast<std::size_t>(m * spp * phases);
+  std::uint64_t part_bytes = 0;
+  for (int i = 0; i < shard_count; ++i) {
+    const std::string path = shard_part_path(output, i, shard_count);
+    std::error_code ec;
+    const std::uint64_t size = std::filesystem::file_size(path, ec);
+    maps::require(!ec, "merge_shards: cannot open " + path);
+    part_bytes += size;
+  }
+  // The counts come from files: size nothing before the part files are known
+  // to hold that many samples (each takes well over one byte). Comparing by
+  // division keeps the product m * spp * phases from wrapping.
+  maps::require(spp == 0 || m <= part_bytes / spp / static_cast<std::uint64_t>(phases),
+                "merge_shards: manifests claim " + std::to_string(m) + " x " +
+                    std::to_string(spp) + " x " + std::to_string(phases) +
+                    " samples but the part files hold " + std::to_string(part_bytes) +
+                    " bytes");
+  const auto total =
+      static_cast<std::size_t>(m * spp * static_cast<std::uint64_t>(phases));
 
   data::Dataset ds;
   ds.name = manifests.front().dataset_name;

@@ -1,21 +1,19 @@
-// The async dataset-generation pipeline: stage-parallel, sharded, resumable.
+// Dataset generation on a TaskQueue: one task per pattern, sharded and
+// resumable.
 //
-// Work unit: one (phase, pattern position). Phases are fidelity passes over
+// Work item: one (phase, pattern position). Phases are fidelity passes over
 // the same pattern lineup (one phase for a plain dataset, low+high for
-// multi-fidelity pairs). Each unit flows through producer/consumer stages:
+// multi-fidelity pairs). Each item is one TaskQueue task that calls
+// data::simulate_pattern: render -> assemble_banded_t -> LDL^T factorize ->
+// batched forward + adjoint solves -> labels. The task frees its factors
+// before it returns, so a finished pattern waiting to commit holds only its
+// records.
 //
-//   prep   task:  pattern render -> operator assembly -> factorization
-//                 (prepared LDL^T band backend for direct solves)
-//   solve  task:  batched forward + adjoint multi-RHS solves -> labels
-//   collect (orchestrator thread): in-order scatter into the Dataset, or
-//                 append to the shard .part file + manifest commit
-//
-// prep and solve run as TaskQueue jobs; the orchestrator keeps a bounded
-// window of in-flight patterns (backpressure bounds the resident factors)
-// and drains results in submission order, so output order — and therefore
-// file bytes — is deterministic. With W workers, the prep of pattern i+1
-// overlaps the back-substitution of pattern i; with one worker the pipeline
-// degrades to the serial fast path.
+// The calling thread keeps a bounded window of workers + 2 tasks in flight
+// and commits finished patterns strictly in item order: an in-order scatter
+// into the Dataset, or an append to the shard .part file plus one journal
+// line. Output bytes therefore do not depend on the worker count or on which
+// task finishes first.
 //
 // Sharding: ShardPlan round-robins positions; each shard writes
 // `<output>.shard-i-of-N.part` plus a manifest of committed (phase, pattern)
@@ -43,14 +41,13 @@ struct DatagenPhase {
 struct DatagenOptions {
   ShardPlan shard;                 // {0, 1} = the whole job
   bool resume = false;             // skip manifest-committed patterns
-  std::size_t workers = 0;         // pipeline task workers; 0 = math::num_threads()
-  std::size_t max_inflight = 0;    // in-flight patterns; 0 = workers + 2
-  /// Soft cap (MB) on the factor memory the in-flight window may hold
-  /// resident at once. When set (and max_inflight is 0), the window is
-  /// workers + 2 clamped down so that window * per-pattern factor-byte
-  /// estimate (solver::DirectBandedBackend::estimate_factor_bytes over the
-  /// largest phase grid) stays within the budget — large grids stop
-  /// over-committing memory. Never clamps below 1; 0 disables.
+  std::size_t workers = 0;         // task workers; 0 = math::num_threads()
+  /// Soft cap (MB) on the factor memory the in-flight window may hold at
+  /// once. When set, the window of workers + 2 tasks is clamped down so that
+  /// window * per-pattern factor-byte estimate
+  /// (solver::DirectBandedBackend::estimate_factor_bytes over the largest
+  /// phase grid) stays within the budget — large grids stop over-committing
+  /// memory. Never clamps below 1; 0 disables.
   std::size_t memory_budget_mb = 0;
   double progress_every_s = 10.0;  // throughput log cadence; <= 0 disables
   std::ostream* log = nullptr;
@@ -60,7 +57,7 @@ struct DatagenOptions {
   std::function<void(std::size_t)> after_pattern;
 };
 
-/// Counters are in per-phase pattern blocks — the pipeline's work unit. A
+/// Counters are in per-phase pattern blocks — the run's work item. A
 /// single-fidelity run has one block per pattern; a multi-fidelity pattern
 /// counts once per fidelity phase (so patterns_per_s compares like-for-like
 /// only across runs with the same phase count).
@@ -86,17 +83,18 @@ struct DatagenStats {
   io::JsonValue to_json() const;
 };
 
-/// In-memory pipelined generation of all phases (no files, no sharding —
-/// opts.shard/resume are ignored). Sample order matches the reference path:
-/// phase-major, pattern-ascending, excitation order.
+/// In-memory generation of all phases (no files): rejects a non-single
+/// opts.shard and ignores opts.resume. Sample order is phase-major,
+/// pattern-ascending, excitation order.
 data::Dataset generate_pipelined(const std::vector<DatagenPhase>& phases,
                                  const std::string& name,
                                  const DatagenOptions& opts = {},
                                  DatagenStats* stats_out = nullptr);
 
-/// File-backed generation of opts.shard's slice: appends to the .part file,
-/// commits the manifest after every pattern, honours opts.resume. All phases
-/// must share the pattern count and excitation count.
+/// File-backed generation of opts.shard's slice: appends each pattern to the
+/// .part file and one line to the shard journal, rewrites the manifest at
+/// open, resume and close, and honours opts.resume. All phases must share
+/// the pattern count and excitation count.
 DatagenStats generate_sharded(const std::vector<DatagenPhase>& phases,
                               const std::string& name, const std::string& output,
                               const DatagenOptions& opts = {});
@@ -111,9 +109,10 @@ bool all_shards_done(const std::string& output, int shard_count);
 int detect_shard_count(const std::string& output);
 
 /// Reassemble `shard_count` completed shards of `output` into the full
-/// dataset (byte-identical to a single-process run when saved). Throws if a
-/// shard is missing, unfinished, or inconsistent. Writes `output` when
-/// `write_output`; always returns the merged dataset.
+/// dataset (byte-identical to a single-process run when saved). Throws
+/// MapsError if a shard is missing, unfinished, or inconsistent, or if its
+/// manifests claim more samples than the part files can hold. Writes
+/// `output` when `write_output`; always returns the merged dataset.
 data::Dataset merge_shards(const std::string& output, int shard_count,
                            bool write_output = true);
 

@@ -2,10 +2,10 @@
 //
 // A Future<T> is a handle to a value produced by a TaskQueue job (or any
 // producer holding the matching Promise<T>). Unlike std::future it is
-// copyable — several pipeline stages may wait on the same upstream result —
-// and exposes a non-blocking ready() poll, which the datagen pipeline uses
-// to drain completed patterns without stalling on stragglers. Exceptions
-// thrown by the producer are captured and rethrown from get().
+// copyable — several waiters may share one result — and offers a bounded
+// wait (wait_for_ms) and a completion hook (subscribe) for the serve front
+// ends. Exceptions thrown by the producer are captured and rethrown from
+// get().
 #pragma once
 
 #include <chrono>
@@ -44,19 +44,6 @@ class Future {
       : state_(std::move(state)) {}
 
   bool valid() const { return state_ != nullptr; }
-
-  /// Non-blocking: has the producer delivered (value or exception)?
-  bool ready() const {
-    maps::require(valid(), "Future::ready: empty future");
-    std::lock_guard lk(state_->mu);
-    return state_->done;
-  }
-
-  void wait() const {
-    maps::require(valid(), "Future::wait: empty future");
-    std::unique_lock lk(state_->mu);
-    state_->cv.wait(lk, [&] { return state_->done; });
-  }
 
   /// Bounded wait: true when delivered within `ms` (<= 0 polls). The
   /// graceful-shutdown drain uses this to stop waiting on stragglers once

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <thread>
 #include <utility>
@@ -28,6 +29,34 @@ void io_retry_backoff(int attempt) {
   const double jitter = static_cast<double>(salt.fetch_add(1) % 7) * 0.1;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
       static_cast<double>(1 << (attempt - 1)) + jitter));
+}
+
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kCountMax = std::numeric_limits<long long>::max();
+
+/// Integer field `key` of `v`, required to lie in [lo, hi].
+long long count_field(const io::JsonValue& v, const char* key, long long lo,
+                      long long hi) {
+  const long long n = v.at(key).as_int();
+  maps::require(n >= lo && n <= hi, std::string("shard manifest: ") + key + " " +
+                                        std::to_string(n) + " is out of range");
+  return n;
+}
+
+io::JsonValue entry_to_json(const ShardManifest::Entry& e) {
+  io::JsonValue v;
+  v["phase"] = e.phase;
+  v["pattern"] = static_cast<double>(e.pattern);
+  v["bytes"] = static_cast<double>(e.bytes);
+  return v;
+}
+
+ShardManifest::Entry entry_from_json(const io::JsonValue& v) {
+  ShardManifest::Entry e;
+  e.phase = static_cast<int>(count_field(v, "phase", 0, kIntMax));
+  e.pattern = static_cast<std::uint64_t>(count_field(v, "pattern", 0, kCountMax));
+  e.bytes = static_cast<std::uint64_t>(count_field(v, "bytes", 0, kCountMax));
+  return e;
 }
 
 }  // namespace
@@ -107,33 +136,27 @@ io::JsonValue ShardManifest::to_json() const {
   v["phases"] = phases;
   v["done"] = done;
   io::JsonArray entries;
-  for (const auto& e : completed) {
-    io::JsonValue entry;
-    entry["phase"] = e.phase;
-    entry["pattern"] = static_cast<double>(e.pattern);
-    entry["bytes"] = static_cast<double>(e.bytes);
-    entries.push_back(std::move(entry));
-  }
+  for (const auto& e : completed) entries.push_back(entry_to_json(e));
   v["completed"] = io::JsonValue(std::move(entries));
   return v;
 }
 
 ShardManifest ShardManifest::from_json(const io::JsonValue& v) {
+  // Manifests are read back from disk, so every count is range-checked
+  // before it is narrowed or used to size anything.
   ShardManifest m;
   m.dataset_name = v.at("dataset").as_string();
-  m.shard_index = static_cast<int>(v.at("shard").at("index").as_int());
-  m.shard_count = static_cast<int>(v.at("shard").at("count").as_int());
-  m.patterns_total = static_cast<std::uint64_t>(v.at("patterns_total").as_int());
+  m.shard_count = static_cast<int>(count_field(v.at("shard"), "count", 1, kIntMax));
+  m.shard_index =
+      static_cast<int>(count_field(v.at("shard"), "index", 0, m.shard_count - 1));
+  m.patterns_total =
+      static_cast<std::uint64_t>(count_field(v, "patterns_total", 0, kCountMax));
   m.samples_per_pattern =
-      static_cast<std::uint64_t>(v.at("samples_per_pattern").as_int());
-  m.phases = static_cast<int>(v.at("phases").as_int());
+      static_cast<std::uint64_t>(count_field(v, "samples_per_pattern", 0, kCountMax));
+  m.phases = static_cast<int>(count_field(v, "phases", 1, kIntMax));
   m.done = v.at("done").as_bool();
   for (const auto& entry : v.at("completed").as_array()) {
-    Entry e;
-    e.phase = static_cast<int>(entry.at("phase").as_int());
-    e.pattern = static_cast<std::uint64_t>(entry.at("pattern").as_int());
-    e.bytes = static_cast<std::uint64_t>(entry.at("bytes").as_int());
-    m.completed.push_back(e);
+    m.completed.push_back(entry_from_json(entry));
   }
   return m;
 }
@@ -181,10 +204,7 @@ std::size_t ShardManifest::absorb_journal(const std::string& journal_path) {
     if (line.empty()) continue;
     Entry e;
     try {
-      const io::JsonValue v = io::json_parse(line);
-      e.phase = static_cast<int>(v.at("phase").as_int());
-      e.pattern = static_cast<std::uint64_t>(v.at("pattern").as_int());
-      e.bytes = static_cast<std::uint64_t>(v.at("bytes").as_int());
+      e = entry_from_json(io::json_parse(line));
     } catch (const std::exception&) {
       // Torn trailing line from a kill mid-append: everything from here on
       // is uncommitted. Stop — the last fully flushed commit wins.
@@ -213,11 +233,7 @@ void ShardJournal::close() {
 
 void ShardJournal::append(const ShardManifest::Entry& e) {
   maps::require(file_ != nullptr, "ShardJournal::append: journal closed");
-  io::JsonValue v;
-  v["phase"] = e.phase;
-  v["pattern"] = static_cast<double>(e.pattern);
-  v["bytes"] = static_cast<double>(e.bytes);
-  const std::string line = v.dump() + "\n";
+  const std::string line = entry_to_json(e).dump() + "\n";
   // The journal's crash contract is "last fully flushed line wins"; a blind
   // rewrite after a partial write would glue the retried line onto the torn
   // one and poison every later line for absorb_journal. Every prior append

@@ -24,11 +24,6 @@ TaskQueue::~TaskQueue() {
   for (auto& w : workers_) w.join();
 }
 
-std::size_t TaskQueue::pending() const {
-  std::lock_guard lk(mu_);
-  return jobs_.size();
-}
-
 void TaskQueue::enqueue(std::function<void()> job) {
   {
     std::lock_guard lk(mu_);

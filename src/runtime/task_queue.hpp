@@ -2,21 +2,20 @@
 // math::ThreadPool's thread budget.
 //
 // The global ThreadPool runs one blocking parallel_for at a time — the right
-// shape for data-parallel kernels, the wrong one for pipelines that want
-// assembly/factorization of pattern i+1 in flight while pattern i is still
-// in back-substitution. TaskQueue adds that layer: submit(fn) enqueues an
-// opaque job and returns a Future for its result; a fixed set of workers
-// (default: the pool's thread budget, math::num_threads()) drains the queue
-// FIFO. Every worker registers itself with the ThreadPool
-// (register_worker_thread), so library code called from a task runs its
-// nested parallel_for serially instead of contending for the single-task
-// global pool — T workers each running serial kernels preserves the machine's
-// total parallelism.
+// shape for data-parallel kernels, the wrong one for independent jobs that
+// should run side by side (one datagen pattern or one served request per
+// task). TaskQueue adds that layer: submit(fn) enqueues an opaque job and
+// returns a Future for its result; a fixed set of workers (default: the
+// pool's thread budget, math::num_threads()) drains the queue FIFO. Every
+// worker registers itself with the ThreadPool (register_worker_thread), so
+// library code called from a task runs its nested parallel_for serially
+// instead of contending for the single-task global pool — T workers each
+// running serial kernels preserves the machine's total parallelism.
 //
 // Deadlock rule: a task must never block on the Future of another *queued*
-// task (FIFO workers would starve). The datagen pipeline obeys this by
-// construction — only the orchestrating (non-worker) thread waits on
-// futures; tasks receive their inputs by value.
+// task (FIFO workers would starve). Datagen obeys this by construction: only
+// the calling (non-worker) thread waits on futures, and tasks read their
+// inputs from data that outlives the run.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +39,6 @@ class TaskQueue {
   TaskQueue& operator=(const TaskQueue&) = delete;
 
   std::size_t worker_count() const { return workers_.size(); }
-  std::size_t pending() const;
 
   /// Enqueue fn for asynchronous execution; the returned future delivers
   /// fn's result (or captured exception).
@@ -62,15 +60,15 @@ class TaskQueue {
     return future;
   }
 
-  /// Process-wide queue used by solve_batch_async and other one-off
-  /// submitters. First call fixes the size.
+  /// Process-wide queue (the prediction service's default executor). First
+  /// call fixes the size.
   static TaskQueue& shared();
 
  private:
   void enqueue(std::function<void()> job);
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> jobs_;
   std::vector<std::thread> workers_;

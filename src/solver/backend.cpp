@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "runtime/task_queue.hpp"
 #include "solver/coarse.hpp"
 #include "solver/direct.hpp"
 #include "solver/iterative.hpp"
@@ -87,18 +86,6 @@ std::vector<std::vector<cplx>> SolverBackend::solve_transposed_batch(
   out.reserve(rhs.size());
   for (const auto& b : rhs) out.push_back(solve_transposed(b));
   return out;
-}
-
-runtime::Future<std::vector<std::vector<cplx>>> SolverBackend::solve_batch_async(
-    std::vector<std::vector<cplx>> rhs) {
-  return runtime::TaskQueue::shared().submit(
-      [this, batch = std::move(rhs)]() { return solve_batch(batch); });
-}
-
-runtime::Future<std::vector<std::vector<cplx>>>
-SolverBackend::solve_transposed_batch_async(std::vector<std::vector<cplx>> rhs) {
-  return runtime::TaskQueue::shared().submit(
-      [this, batch = std::move(rhs)]() { return solve_transposed_batch(batch); });
 }
 
 std::unique_ptr<SolverBackend> make_backend(const grid::GridSpec& spec,

@@ -26,7 +26,6 @@
 
 #include "fdfd/assembler.hpp"
 #include "math/bicgstab.hpp"
-#include "runtime/future.hpp"
 
 namespace maps::solver {
 
@@ -113,17 +112,6 @@ class SolverBackend {
       std::span<const std::vector<cplx>> rhs);
   virtual std::vector<std::vector<cplx>> solve_transposed_batch(
       std::span<const std::vector<cplx>> rhs);
-
-  /// Asynchronous batched solves: the batch is handed (by value) to the
-  /// shared runtime::TaskQueue and the future delivers the solutions, so a
-  /// dataset pipeline can overlap the next pattern's assembly/factorization
-  /// with this batch's back-substitution. The caller must keep the backend
-  /// alive until the future is ready. Factorization happens on the worker if
-  /// not already prepared.
-  runtime::Future<std::vector<std::vector<cplx>>> solve_batch_async(
-      std::vector<std::vector<cplx>> rhs);
-  runtime::Future<std::vector<std::vector<cplx>>> solve_transposed_batch_async(
-      std::vector<std::vector<cplx>> rhs);
 
   /// The assembled operator this backend answers for, on the *fine* grid
   /// (the CoarseGridBackend assembles it lazily for consumers that need W

@@ -253,10 +253,10 @@ std::vector<std::vector<cplx>> DirectBandedBackend::batch_solve_impl(
 
   // Split the batch into one contiguous slice per worker; each slice runs the
   // multi-RHS sweep, so with a single thread the whole batch still shares one
-  // pass over the factors. On a pool worker thread (the datagen solve stage
-  // runs inside TaskQueue workers) nested parallel_for executes serially, so
-  // slicing would degrade to per-RHS factor sweeps — keep the whole batch in
-  // one fused sweep there.
+  // pass over the factors. On a pool worker thread (datagen's per-pattern
+  // tasks run inside TaskQueue workers) nested parallel_for executes
+  // serially, so slicing would degrade to per-RHS factor sweeps — keep the
+  // whole batch in one fused sweep there.
   const std::size_t n_slices =
       maps::math::ThreadPool::is_worker_thread()
           ? 1

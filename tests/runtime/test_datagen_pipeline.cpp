@@ -1,6 +1,7 @@
-// End-to-end datagen pipeline: equivalence with the reference path,
-// shard-merge byte identity, resume after an injected failure, and the
-// multi-fidelity phase lineup.
+// End-to-end datagen runtime: agreement with direct per-sample solves,
+// worker-count independence of every output byte, shard-merge byte
+// identity, resume after an injected failure, and the multi-fidelity phase
+// lineup.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -51,45 +52,99 @@ double field_rel_err(const maps::math::CplxGrid& a, const maps::math::CplxGrid& 
   return std::sqrt(num / std::max(den, 1e-300));
 }
 
+/// Same pattern, excitation and fidelity; fields and transmissions equal up
+/// to solver rounding (batched against single-RHS solves).
+void expect_sample_near(const md::SampleRecord& a, const md::SampleRecord& b) {
+  EXPECT_EQ(b.pattern_id, a.pattern_id);
+  EXPECT_EQ(b.excitation, a.excitation);
+  EXPECT_EQ(b.fidelity, a.fidelity);
+  EXPECT_LT(field_rel_err(a.Ez, b.Ez), 1e-10);
+  EXPECT_LT(field_rel_err(a.lambda_fwd, b.lambda_fwd), 1e-8);
+  ASSERT_EQ(b.transmissions.size(), a.transmissions.size());
+  for (std::size_t t = 0; t < a.transmissions.size(); ++t) {
+    EXPECT_NEAR(b.transmissions[t], a.transmissions[t],
+                1e-9 + 1e-9 * std::abs(a.transmissions[t]));
+  }
+}
+
 void remove_shard_files(const std::string& output, int count) {
   namespace fs = std::filesystem;
   fs::remove(output);
   for (int i = 0; i < count; ++i) {
     fs::remove(rt::shard_part_path(output, i, count));
     fs::remove(rt::shard_manifest_path(output, i, count));
+    fs::remove(rt::shard_journal_path(output, i, count));
   }
 }
 
 }  // namespace
 
-TEST(DatagenPipeline, MatchesReferencePath) {
+TEST(DatagenPipeline, SamplesMatchDirectSimulation) {
   const auto ps = bend_patterns(4);
-  const auto ref = md::generate_dataset_reference(bend(), ps);
   rt::DatagenStats stats;
   const std::vector<rt::DatagenPhase> phases = {{&bend(), &ps, 1}};
-  const auto pipe = rt::generate_pipelined(phases, ref.name, {}, &stats);
+  const auto ds = rt::generate_pipelined(phases, "bending/random", {}, &stats);
 
-  ASSERT_EQ(pipe.size(), ref.size());
+  const std::size_t n_exc = bend().excitations.size();
+  ASSERT_EQ(ds.size(), ps.densities.size() * n_exc);
   EXPECT_EQ(stats.patterns, 4u);
-  EXPECT_EQ(stats.samples, ref.size());
-  EXPECT_EQ(stats.factorizations, 4);  // one prepared operator per pattern
+  EXPECT_EQ(stats.samples, ds.size());
+  EXPECT_EQ(stats.factorizations, 4);  // one operator per pattern
   EXPECT_EQ(stats.solves, 2 * 4);      // forward + adjoint per excitation
-  for (std::size_t k = 0; k < ref.size(); ++k) {
-    const auto& a = ref.samples[k];
-    const auto& b = pipe.samples[k];
-    EXPECT_EQ(b.pattern_id, a.pattern_id);
-    EXPECT_EQ(b.excitation, a.excitation);
-    EXPECT_EQ(b.fidelity, a.fidelity);
-    // Both paths ride the same LDL^T kernel; the bounds allow rounding-level
-    // skew.
-    EXPECT_LT(field_rel_err(a.Ez, b.Ez), 1e-10);
-    EXPECT_LT(field_rel_err(a.lambda_fwd, b.lambda_fwd), 1e-8);
-    ASSERT_EQ(b.transmissions.size(), a.transmissions.size());
-    for (std::size_t t = 0; t < a.transmissions.size(); ++t) {
-      EXPECT_NEAR(b.transmissions[t], a.transmissions[t],
-                  1e-9 + 1e-9 * std::abs(a.transmissions[t]));
-    }
+  for (const std::size_t p : {std::size_t{0}, std::size_t{3}}) {
+    // One fdfd::Simulation per (pattern, excitation): its own factorization,
+    // a single-RHS forward solve and compute_adjoint.
+    const auto direct = md::simulate_sample(bend(), ps.densities[p], 0, ps.ids[p],
+                                            ps.strategy);
+    expect_sample_near(direct, ds.samples[p * n_exc]);
   }
+}
+
+TEST(DatagenPipeline, WorkerCountDoesNotChangeAnyByte) {
+  const auto ps = bend_patterns(6, 29);
+  const std::string name = "bending/random";
+  const std::vector<rt::DatagenPhase> phases = {{&bend(), &ps, 1}};
+
+  // In-memory saves.
+  std::vector<std::string> saves;
+  for (const std::size_t workers : {1, 4}) {
+    rt::DatagenOptions opts;
+    opts.workers = workers;
+    const std::string path = tmp_path("workers" + std::to_string(workers) + ".mapsd");
+    rt::generate_pipelined(phases, name, opts).save(path);
+    saves.push_back(slurp(path));
+    std::filesystem::remove(path);
+  }
+  EXPECT_EQ(saves[0], saves[1]) << "saved bytes depend on the worker count";
+
+  // Shard files. A kill after the fifth commit leaves the .part file and the
+  // journal on disk; the resumed run then compacts into the final manifest.
+  std::vector<std::string> parts, journals, manifests;
+  for (const std::size_t workers : {1, 4}) {
+    const std::string out = tmp_path("workers" + std::to_string(workers) + "_shard.mapsd");
+    remove_shard_files(out, 1);
+    rt::DatagenOptions crash;
+    crash.workers = workers;
+    crash.after_pattern = [](std::size_t done) {
+      if (done == 5) throw maps::MapsError("injected kill");
+    };
+    EXPECT_THROW(rt::generate_sharded(phases, name, out, crash), maps::MapsError);
+    parts.push_back(slurp(rt::shard_part_path(out, 0, 1)));
+    journals.push_back(slurp(rt::shard_journal_path(out, 0, 1)));
+
+    rt::DatagenOptions resume;
+    resume.workers = workers;
+    resume.resume = true;
+    EXPECT_EQ(rt::generate_sharded(phases, name, out, resume).patterns, 1u);
+    manifests.push_back(slurp(rt::shard_manifest_path(out, 0, 1)));
+    parts.push_back(slurp(rt::shard_part_path(out, 0, 1)));
+    remove_shard_files(out, 1);
+  }
+  EXPECT_EQ(journals[0], journals[1]) << "journal bytes depend on the worker count";
+  EXPECT_EQ(manifests[0], manifests[1]) << "manifest bytes depend on the worker count";
+  ASSERT_EQ(parts.size(), 4u);
+  EXPECT_EQ(parts[0], parts[2]) << "killed .part bytes depend on the worker count";
+  EXPECT_EQ(parts[1], parts[3]) << "final .part bytes depend on the worker count";
 }
 
 TEST(DatagenPipeline, ShardedMergeIsByteIdenticalToSingleRun) {
@@ -97,7 +152,7 @@ TEST(DatagenPipeline, ShardedMergeIsByteIdenticalToSingleRun) {
   const std::string name = "bending/random";
   const std::vector<rt::DatagenPhase> phases = {{&bend(), &ps, 1}};
 
-  // Single-process pipelined run.
+  // Single-process in-memory run.
   const std::string single_path = tmp_path("single.mapsd");
   rt::generate_pipelined(phases, name).save(single_path);
 
@@ -185,9 +240,13 @@ TEST(DatagenPipeline, MultifidelityRidesPipeline) {
   EXPECT_EQ(ds.samples[0].pattern_id, ds.samples[2].pattern_id);
   EXPECT_EQ(ds.pattern_ids().size(), 2u);
 
-  // And the labels agree with the reference implementation per phase.
-  const auto ref_lo = md::generate_dataset_reference(bend(), ps);
-  EXPECT_LT(field_rel_err(ref_lo.samples[0].Ez, ds.samples[0].Ez), 1e-10);
+  // And each phase's labels agree with direct solves on its own device.
+  expect_sample_near(md::simulate_sample(bend(), ps.densities[0], 0, ps.ids[0], ps.strategy),
+                     ds.samples[0]);
+  const auto hi_ps = md::upsample_patterns(ps, hi);
+  auto hi_direct = md::simulate_sample(hi, hi_ps.densities[1], 0, hi_ps.ids[1], ps.strategy);
+  hi_direct.fidelity = 2;
+  expect_sample_near(hi_direct, ds.samples[3]);
 }
 
 TEST(DatagenPipeline, ResumeManifestMismatchIsRejected) {

@@ -1,16 +1,13 @@
-// Runtime primitives: Future/Promise, TaskQueue, bounded Channel, ShardPlan
-// partitioning and the shard manifest format.
+// Runtime primitives: Future/Promise, TaskQueue, ShardPlan partitioning and
+// the shard manifest format.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <set>
-#include <thread>
 
 #include "math/parallel.hpp"
-#include "runtime/channel.hpp"
 #include "runtime/future.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/task_queue.hpp"
@@ -21,9 +18,9 @@ TEST(Future, DeliversValueAndReady) {
   rt::Promise<int> p;
   auto f = p.future();
   EXPECT_TRUE(f.valid());
-  EXPECT_FALSE(f.ready());
+  EXPECT_FALSE(f.wait_for_ms(0));
   p.set_value(42);
-  EXPECT_TRUE(f.ready());
+  EXPECT_TRUE(f.wait_for_ms(0));
   EXPECT_EQ(f.get(), 42);
 }
 
@@ -31,7 +28,7 @@ TEST(Future, PropagatesException) {
   rt::Promise<int> p;
   auto f = p.future();
   p.set_exception(std::make_exception_ptr(maps::MapsError("boom")));
-  EXPECT_TRUE(f.ready());
+  EXPECT_TRUE(f.wait_for_ms(0));
   EXPECT_THROW(f.get(), maps::MapsError);
 }
 
@@ -40,7 +37,7 @@ TEST(Future, CopiesShareState) {
   auto f1 = p.future();
   auto f2 = f1;
   p.set_value("shared");
-  EXPECT_TRUE(f2.ready());
+  EXPECT_TRUE(f2.wait_for_ms(0));
   EXPECT_EQ(f2.get(), "shared");
 }
 
@@ -79,45 +76,6 @@ TEST(TaskQueue, NestedParallelForRunsSerially) {
 TEST(TaskQueue, SharedInstanceWorks) {
   auto f = rt::TaskQueue::shared().submit([] { return 7; });
   EXPECT_EQ(f.get(), 7);
-}
-
-TEST(Channel, PushPopFifo) {
-  rt::Channel<int> ch(4);
-  EXPECT_TRUE(ch.push(1));
-  EXPECT_TRUE(ch.push(2));
-  EXPECT_EQ(ch.size(), 2u);
-  EXPECT_EQ(ch.pop().value(), 1);
-  EXPECT_EQ(ch.pop().value(), 2);
-}
-
-TEST(Channel, CloseDrainsThenEnds) {
-  rt::Channel<int> ch(4);
-  ch.push(5);
-  ch.close();
-  EXPECT_FALSE(ch.push(6));          // rejected after close
-  EXPECT_EQ(ch.pop().value(), 5);    // pending items still drain
-  EXPECT_FALSE(ch.pop().has_value());
-}
-
-TEST(Channel, BackpressureBlocksProducer) {
-  rt::Channel<int> ch(2);
-  std::atomic<int> produced{0};
-  std::thread producer([&] {
-    for (int k = 0; k < 6; ++k) {
-      ch.push(k);
-      produced.fetch_add(1);
-    }
-  });
-  // Give the producer time to hit the capacity wall.
-  for (int spin = 0; spin < 200 && produced.load() < 2; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_LE(produced.load(), 3);  // 2 in channel + at most 1 in flight
-  for (int k = 0; k < 6; ++k) {
-    EXPECT_EQ(ch.pop().value(), k);
-  }
-  producer.join();
-  EXPECT_EQ(produced.load(), 6);
 }
 
 TEST(ShardPlan, PartitionCoversAndDisjoint) {

@@ -430,22 +430,3 @@ TEST(FactorizationCache, HitPathBitIdenticalToColdSolve) {
   }
 }
 
-TEST(SolverAsync, SolveBatchAsyncDeliversViaFuture) {
-  WaveguideRig rig;
-  ms::DirectBandedBackend backend(rig.spec, rig.eps, rig.omega, rig.pml);
-
-  std::vector<std::vector<cplx>> batch = {rig.rhs, random_rhs(48 * 48, 91)};
-  auto future = backend.solve_batch_async(batch);
-  auto tfuture = backend.solve_transposed_batch_async(batch);
-
-  const auto async_xs = future.get();
-  const auto sync_xs = backend.solve_batch(batch);
-  ASSERT_EQ(async_xs.size(), 2u);
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    EXPECT_LT(rel_l2(async_xs[k], sync_xs[k]), 1e-13);
-  }
-  const auto async_ts = tfuture.get();
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    EXPECT_LT(rel_l2(async_ts[k], backend.solve_transposed(batch[k])), 1e-12);
-  }
-}

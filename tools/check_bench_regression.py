@@ -8,8 +8,9 @@ the same run on the same machine, so it is stable across runner generations,
 while absolute times (which vary wildly between runners) stay informational.
 
 Tracked ratios:
-  speedup_pipelined_vs_sequential   pipelined datagen over the seed
-                                    parallel_for baseline
+  datagen_workers_vs_single         datagen at workers = nproc over
+                                    workers = 1 on the same binary, each
+                                    leg the median of 5 alternating runs
                                     (BENCH_datagen_throughput.json)
   fdfd_batched_vs_sequential        multi-RHS banded sweep over per-source
                                     solves at n=64 (BENCH_speedup.json)
@@ -121,9 +122,9 @@ def ratio_from_key(doc, key):
 
 TRACKED = [
     {
-        "name": "speedup_pipelined_vs_sequential",
+        "name": "datagen_workers_vs_single",
         "file": "BENCH_datagen_throughput.json",
-        "ratio": lambda doc: ratio_from_key(doc, "speedup_pipelined_vs_sequential"),
+        "ratio": lambda doc: ratio_from_key(doc, "datagen_workers_vs_single"),
     },
     {
         "name": "fdfd_batched_vs_sequential",

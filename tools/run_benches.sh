@@ -50,9 +50,10 @@ run_bench speedup "$BUILD_DIR/bench_perf_speedup" "$OUT_DIR/BENCH_speedup.json"
 run_bench train_throughput "$BUILD_DIR/bench_perf_kernels" \
   "$OUT_DIR/BENCH_train_throughput.json" "TrainStep"
 
-# Dataset-generation throughput: seed parallel_for baseline vs the pipelined
-# runtime vs a 2-shard+merge run (patterns/s + merge byte-identity check).
-# Custom driver (not google-benchmark); MAPS_BENCH_PATTERNS scales the run.
+# Dataset-generation throughput: workers=1 vs workers=nproc (median of 5
+# alternating runs each) and a 2-shard+merge run (patterns/s + byte-identity
+# checks). A plain main (not google-benchmark); MAPS_BENCH_PATTERNS scales
+# the run.
 if [[ -x "$BUILD_DIR/bench_datagen_throughput" ]]; then
   echo "[run_benches] datagen_throughput -> $OUT_DIR/BENCH_datagen_throughput.json"
   "$BUILD_DIR/bench_datagen_throughput" "$OUT_DIR/BENCH_datagen_throughput.json"

@@ -33,31 +33,20 @@ void Dataset::append(const Dataset& other) {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x4D445331;  // "MDS1"
+// The fixed-size fields of one sample: three string lengths, three integers,
+// two doubles, seven grid shapes, the design box, three doubles and the
+// transmissions count.
+constexpr std::uint64_t kMinSampleBytes = 30 * sizeof(std::uint64_t);
 
 void put_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
-std::uint64_t get_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
 void put_f64(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-double get_f64(std::istream& is) {
-  double v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
 }
 void put_str(std::ostream& os, const std::string& s) {
   put_u64(os, s.size());
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::string get_str(std::istream& is) {
-  std::string s(get_u64(is), '\0');
-  is.read(s.data(), static_cast<std::streamsize>(s.size()));
-  return s;
 }
 void put_real_grid(std::ostream& os, const RealGrid& g) {
   put_u64(os, static_cast<std::uint64_t>(g.nx()));
@@ -65,27 +54,102 @@ void put_real_grid(std::ostream& os, const RealGrid& g) {
   os.write(reinterpret_cast<const char*>(g.data().data()),
            static_cast<std::streamsize>(g.data().size() * sizeof(double)));
 }
-RealGrid get_real_grid(std::istream& is) {
-  const auto nx = static_cast<index_t>(get_u64(is));
-  const auto ny = static_cast<index_t>(get_u64(is));
-  RealGrid g(nx, ny);
-  is.read(reinterpret_cast<char*>(g.data().data()),
-          static_cast<std::streamsize>(g.data().size() * sizeof(double)));
-  return g;
-}
 void put_cplx_grid(std::ostream& os, const CplxGrid& g) {
   put_u64(os, static_cast<std::uint64_t>(g.nx()));
   put_u64(os, static_cast<std::uint64_t>(g.ny()));
   os.write(reinterpret_cast<const char*>(g.data().data()),
            static_cast<std::streamsize>(g.data().size() * sizeof(cplx)));
 }
-CplxGrid get_cplx_grid(std::istream& is) {
-  const auto nx = static_cast<index_t>(get_u64(is));
-  const auto ny = static_cast<index_t>(get_u64(is));
-  CplxGrid g(nx, ny);
-  is.read(reinterpret_cast<char*>(g.data().data()),
-          static_cast<std::streamsize>(g.data().size() * sizeof(cplx)));
-  return g;
+
+/// Reads what the put_* helpers wrote. Files are untrusted: every length is
+/// checked against the bytes left in the stream before anything is sized
+/// from it, so a corrupt length fails as MapsError, not as an allocation.
+class Reader {
+ public:
+  explicit Reader(std::istream& is) : is_(is) {
+    const std::streampos at = is.tellg();
+    is.seekg(0, std::ios::end);
+    const std::streampos end = is.tellg();
+    is.seekg(at);
+    require(at >= 0 && end >= at, "dataset: cannot size the input stream");
+    left_ = static_cast<std::uint64_t>(end - at);
+  }
+
+  std::uint64_t left() const { return left_; }
+
+  void bytes(void* dst, std::uint64_t n) {
+    require(n <= left_, "dataset: truncated file");
+    is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    require(is_.good(), "dataset: read failed");
+    left_ -= n;
+  }
+  std::uint64_t u64() {
+    std::uint64_t v = 0;
+    bytes(&v, sizeof(v));
+    return v;
+  }
+  double f64() {
+    double v = 0;
+    bytes(&v, sizeof(v));
+    return v;
+  }
+  std::string str() {
+    const std::uint64_t n = u64();
+    require(n <= left_, "dataset: string length " + std::to_string(n) +
+                            " exceeds the " + std::to_string(left_) + " bytes left");
+    std::string s(n, '\0');
+    bytes(s.data(), n);
+    return s;
+  }
+  /// Unsigned, so a negative dimension reads as one too large to fit.
+  template <typename T>
+  math::Grid2D<T> grid() {
+    const std::uint64_t nx = u64();
+    const std::uint64_t ny = u64();
+    require(nx <= left_ && ny <= left_ && (nx == 0 || ny <= left_ / sizeof(T) / nx),
+            "dataset: a " + std::to_string(static_cast<long long>(nx)) + "x" +
+                std::to_string(static_cast<long long>(ny)) + " grid exceeds the " +
+                std::to_string(left_) + " bytes left");
+    math::Grid2D<T> g(static_cast<index_t>(nx), static_cast<index_t>(ny));
+    bytes(g.data().data(), nx * ny * sizeof(T));
+    return g;
+  }
+
+ private:
+  std::istream& is_;
+  std::uint64_t left_ = 0;
+};
+
+SampleRecord read_record(Reader& in) {
+  SampleRecord s;
+  s.device = in.str();
+  s.excitation = in.str();
+  s.strategy = in.str();
+  s.pattern_id = in.u64();
+  s.fidelity = static_cast<int>(in.u64());
+  s.pml_cells = static_cast<int>(in.u64());
+  s.dl = in.f64();
+  s.omega = in.f64();
+  s.eps = in.grid<double>();
+  s.J = in.grid<cplx>();
+  s.Ez = in.grid<cplx>();
+  s.adj_J = in.grid<cplx>();
+  s.lambda_fwd = in.grid<cplx>();
+  s.grad_eps = in.grid<double>();
+  s.density = in.grid<double>();
+  s.design_box.i0 = static_cast<index_t>(in.u64());
+  s.design_box.j0 = static_cast<index_t>(in.u64());
+  s.design_box.ni = static_cast<index_t>(in.u64());
+  s.design_box.nj = static_cast<index_t>(in.u64());
+  s.fom = in.f64();
+  s.input_norm = in.f64();
+  s.adj_scale = in.f64();
+  const std::uint64_t nt = in.u64();
+  require(nt <= in.left() / sizeof(double),
+          "dataset: " + std::to_string(nt) + " transmissions exceed the bytes left");
+  s.transmissions.resize(nt);
+  in.bytes(s.transmissions.data(), nt * sizeof(double));
+  return s;
 }
 }  // namespace
 
@@ -117,33 +181,8 @@ void write_sample(std::ostream& os, const SampleRecord& s) {
 }
 
 SampleRecord read_sample(std::istream& is) {
-  SampleRecord s;
-  s.device = get_str(is);
-  s.excitation = get_str(is);
-  s.strategy = get_str(is);
-  s.pattern_id = get_u64(is);
-  s.fidelity = static_cast<int>(get_u64(is));
-  s.pml_cells = static_cast<int>(get_u64(is));
-  s.dl = get_f64(is);
-  s.omega = get_f64(is);
-  s.eps = get_real_grid(is);
-  s.J = get_cplx_grid(is);
-  s.Ez = get_cplx_grid(is);
-  s.adj_J = get_cplx_grid(is);
-  s.lambda_fwd = get_cplx_grid(is);
-  s.grad_eps = get_real_grid(is);
-  s.density = get_real_grid(is);
-  s.design_box.i0 = static_cast<index_t>(get_u64(is));
-  s.design_box.j0 = static_cast<index_t>(get_u64(is));
-  s.design_box.ni = static_cast<index_t>(get_u64(is));
-  s.design_box.nj = static_cast<index_t>(get_u64(is));
-  s.fom = get_f64(is);
-  s.input_norm = get_f64(is);
-  s.adj_scale = get_f64(is);
-  const std::uint64_t nt = get_u64(is);
-  for (std::uint64_t t = 0; t < nt; ++t) s.transmissions.push_back(get_f64(is));
-  require(is.good(), "read_sample: truncated file");
-  return s;
+  Reader in(is);
+  return read_record(in);
 }
 
 void Dataset::save(const std::string& path) const {
@@ -153,19 +192,23 @@ void Dataset::save(const std::string& path) const {
   put_str(os, name);
   put_u64(os, samples.size());
   for (const auto& s : samples) write_sample(os, s);
-  require(os.good(), "Dataset::save: write failed");
+  os.close();  // flushes the last buffer: check after it, not before
+  require(!os.fail(), "Dataset::save: write failed for " + path);
 }
 
 Dataset Dataset::load(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   require(is.good(), "Dataset::load: cannot open " + path);
-  require(get_u64(is) == kMagic, "Dataset::load: bad magic");
+  Reader in(is);
+  require(in.u64() == kMagic, "Dataset::load: bad magic");
   Dataset d;
-  d.name = get_str(is);
-  const std::uint64_t count = get_u64(is);
+  d.name = in.str();
+  const std::uint64_t count = in.u64();
+  require(count <= in.left() / kMinSampleBytes,
+          "Dataset::load: " + std::to_string(count) + " samples cannot fit in " + path);
   d.samples.reserve(count);
   for (std::uint64_t k = 0; k < count; ++k) {
-    d.samples.push_back(read_sample(is));
+    d.samples.push_back(read_record(in));
   }
   return d;
 }

@@ -537,6 +537,7 @@ void json_save(const JsonValue& v, const std::string& path, int indent) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw MapsError("json_save: cannot open " + path);
   out << v.dump(indent) << '\n';
+  out.close();  // flushes the last buffer: check after it, not before
   if (!out) throw MapsError("json_save: write failed for " + path);
 }
 

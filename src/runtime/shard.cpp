@@ -1,35 +1,12 @@
 #include "runtime/shard.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <set>
-#include <thread>
 #include <utility>
-
-#include "runtime/fault.hpp"
 
 namespace maps::runtime {
 
 namespace {
-
-// Transient shard I/O (momentarily full/slow disk, NFS hiccup) must not
-// abort an hours-long datagen run: journal appends, manifest saves and
-// journal compactions retry up to kIoAttempts times with exponential
-// backoff plus a small deterministic jitter, so a fleet of shards on one
-// recovering disk doesn't retry in lockstep.
-constexpr int kIoAttempts = 3;
-
-void io_retry_backoff(int attempt) {
-  static std::atomic<unsigned> salt{0};
-  const double jitter = static_cast<double>(salt.fetch_add(1) % 7) * 0.1;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-      static_cast<double>(1 << (attempt - 1)) + jitter));
-}
 
 constexpr long long kIntMax = std::numeric_limits<int>::max();
 constexpr long long kCountMax = std::numeric_limits<long long>::max();
@@ -162,26 +139,9 @@ ShardManifest ShardManifest::from_json(const io::JsonValue& v) {
 }
 
 void ShardManifest::save(const std::string& path) const {
-  // Commit atomically: a kill during the write leaves the previous manifest
-  // (and thus a consistent resume point) in place. The whole tmp+rename
-  // sequence is idempotent, so transient failures simply retry it.
-  const std::string tmp = path + ".tmp";
-  for (int attempt = 1;; ++attempt) {
-    try {
-      if (fault::point("manifest.save")) {
-        throw MapsError("ShardManifest::save: injected I/O failure");
-      }
-      io::json_save(to_json(), tmp);
-      if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw MapsError("ShardManifest::save: rename to " + path + " failed");
-      }
-      return;
-    } catch (const MapsError&) {
-      if (attempt >= kIoAttempts) throw;
-      io_retry_backoff(attempt);
-    }
-  }
+  // A kill during the write leaves the previous manifest (and thus a
+  // consistent resume point) in place. Transient failures retry.
+  durable::atomic_write(path, to_json().dump(2) + "\n", "manifest.save");
 }
 
 ShardManifest ShardManifest::load(const std::string& path) {
@@ -189,77 +149,22 @@ ShardManifest ShardManifest::load(const std::string& path) {
 }
 
 std::size_t ShardManifest::absorb_journal(const std::string& journal_path) {
-  std::ifstream is(journal_path, std::ios::binary);
-  if (!is.good()) return 0;  // no journal: the manifest is the full record
-
   // A compaction that crashed between the manifest rename and the journal
   // truncation leaves journal lines that the manifest already contains;
   // skip those instead of double-counting.
   std::set<std::pair<int, std::uint64_t>> seen;
   for (const auto& e : completed) seen.insert({e.phase, e.pattern});
 
-  std::size_t adopted = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    Entry e;
-    try {
-      e = entry_from_json(io::json_parse(line));
-    } catch (const std::exception&) {
-      // Torn trailing line from a kill mid-append: everything from here on
-      // is uncommitted. Stop — the last fully flushed commit wins.
-      break;
-    }
-    if (!seen.insert({e.phase, e.pattern}).second) continue;
-    completed.push_back(e);
-    ++adopted;
-  }
-  return adopted;
-}
-
-ShardJournal::ShardJournal(std::string path) : path_(std::move(path)) {
-  file_ = std::fopen(path_.c_str(), "ab");
-  maps::require(file_ != nullptr, "ShardJournal: cannot open " + path_);
-}
-
-ShardJournal::~ShardJournal() { close(); }
-
-void ShardJournal::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  const std::size_t before = completed.size();
+  durable::replay(journal_path, [&](const std::string& line) {
+    const Entry e = entry_from_json(io::json_parse(line));
+    if (seen.insert({e.phase, e.pattern}).second) completed.push_back(e);
+  });
+  return completed.size() - before;
 }
 
 void ShardJournal::append(const ShardManifest::Entry& e) {
-  maps::require(file_ != nullptr, "ShardJournal::append: journal closed");
-  const std::string line = entry_to_json(e).dump() + "\n";
-  // The journal's crash contract is "last fully flushed line wins"; a blind
-  // rewrite after a partial write would glue the retried line onto the torn
-  // one and poison every later line for absorb_journal. Every prior append
-  // was flushed, so ftell here is the committed physical size — retries
-  // truncate back to it before rewriting.
-  const long committed = std::ftell(file_);
-  maps::require(committed >= 0, "ShardJournal::append: ftell on " + path_ + " failed");
-  for (int attempt = 1;; ++attempt) {
-    try {
-      if (fault::point("journal.append")) {
-        throw MapsError("ShardJournal::append: injected I/O failure");
-      }
-      const std::size_t wrote = std::fwrite(line.data(), 1, line.size(), file_);
-      maps::require(wrote == line.size() && std::fflush(file_) == 0,
-                    "ShardJournal::append: write to " + path_ + " failed");
-      return;
-    } catch (const MapsError&) {
-      if (attempt >= kIoAttempts) throw;
-      std::clearerr(file_);
-      if (::ftruncate(::fileno(file_), static_cast<off_t>(committed)) != 0 ||
-          std::fseek(file_, committed, SEEK_SET) != 0) {
-        throw;  // cannot restore the committed prefix: surface the failure
-      }
-      io_retry_backoff(attempt);
-    }
-  }
+  log_.append(entry_to_json(e).dump(), "journal.append");
 }
 
 void ShardJournal::compact(const ShardManifest& manifest,
@@ -268,24 +173,7 @@ void ShardJournal::compact(const ShardManifest& manifest,
   // (atomic rename), only then drop the journal lines it absorbed. A crash
   // in between is healed by absorb_journal's dedup on the next resume.
   manifest.save(manifest_path);
-  close();
-  for (int attempt = 1;; ++attempt) {
-    try {
-      if (fault::point("journal.compact")) {
-        throw MapsError("ShardJournal::compact: injected I/O failure");
-      }
-      std::FILE* truncated = std::fopen(path_.c_str(), "wb");
-      maps::require(truncated != nullptr,
-                    "ShardJournal::compact: cannot truncate " + path_);
-      std::fclose(truncated);
-      break;
-    } catch (const MapsError&) {
-      if (attempt >= kIoAttempts) throw;
-      io_retry_backoff(attempt);
-    }
-  }
-  file_ = std::fopen(path_.c_str(), "ab");
-  maps::require(file_ != nullptr, "ShardJournal::compact: cannot reopen " + path_);
+  log_.truncate("journal.compact");
 }
 
 }  // namespace maps::runtime

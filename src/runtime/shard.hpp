@@ -15,11 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/json.hpp"
+#include "runtime/durable.hpp"
 
 namespace maps::runtime {
 
@@ -70,7 +71,7 @@ struct ShardManifest {
   io::JsonValue to_json() const;
   static ShardManifest from_json(const io::JsonValue& v);
 
-  /// Atomic save (tmp + rename), plain load.
+  /// Atomic save (durable::atomic_write), plain load.
   void save(const std::string& path) const;
   static ShardManifest load(const std::string& path);
 
@@ -92,8 +93,7 @@ struct ShardManifest {
 class ShardJournal {
  public:
   /// Open for appending (creates the file if absent).
-  explicit ShardJournal(std::string path);
-  ~ShardJournal();
+  explicit ShardJournal(std::string path) : log_(std::move(path)) {}
 
   /// Append one committed entry as a single flushed JSON line.
   void append(const ShardManifest::Entry& e);
@@ -104,14 +104,10 @@ class ShardJournal {
   void compact(const ShardManifest& manifest, const std::string& manifest_path);
 
   /// Close the append handle (the destructor also closes).
-  void close();
-
-  const std::string& path() const { return path_; }
+  void close() { log_.close(); }
 
  private:
-  std::string path_;
-  // Kept open across appends; reopened after compaction truncates.
-  std::FILE* file_ = nullptr;
+  durable::LineLog log_;  // kept open across appends and compactions
 };
 
 }  // namespace maps::runtime

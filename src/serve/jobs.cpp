@@ -5,11 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -27,25 +25,13 @@
 #include "obs/trace.hpp"
 #include "param/symmetry.hpp"
 #include "runtime/deadline.hpp"
+#include "runtime/durable.hpp"
 #include "runtime/fault.hpp"
 #include "serve/service.hpp"
 
 namespace maps::serve {
 
 namespace {
-
-// Same transient-I/O posture as the datagen shards (runtime/shard.cpp): a
-// momentarily full disk must not fail a minutes-long optimization, so
-// journal appends and manifest saves retry with backoff. Past the retries
-// the job keeps running in-memory — durability degrades, the work does not.
-constexpr int kIoAttempts = 3;
-
-void io_retry_backoff(int attempt) {
-  static std::atomic<unsigned> salt{0};
-  const double jitter = static_cast<double>(salt.fetch_add(1) % 7) * 0.1;
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-      static_cast<double>(1 << (attempt - 1)) + jitter));
-}
 
 io::JsonValue to_json_array(const std::vector<double>& xs) {
   io::JsonArray a(xs.begin(), xs.end());
@@ -519,80 +505,42 @@ io::JsonValue JobManager::status_locked(const Job& job) const {
   return v;
 }
 
-bool JobManager::save_manifest(const std::string& id, const io::JsonValue& doc) {
+bool JobManager::persist(const char* what, const std::function<void(int*)>& write) {
   if (options_.journal_dir.empty()) return true;
-  const std::string path = manifest_path(id);
-  const std::string tmp = path + ".tmp";
-  for (int attempt = 1;; ++attempt) {
-    try {
-      if (runtime::fault::point("jobs.journal")) {
-        throw MapsError("jobs: injected manifest I/O failure");
-      }
-      io::json_save(doc, tmp);
-      if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw MapsError("jobs: rename to " + path + " failed");
-      }
-      return true;
-    } catch (const MapsError& e) {
-      if (attempt >= kIoAttempts) {
-        warn(std::string("manifest save failed: ") + e.what());
-        return false;
-      }
-      journal_retries_.fetch_add(1);
-      io_retry_backoff(attempt);
-    }
+  int retries = 0;
+  bool ok = true;
+  try {
+    write(&retries);
+  } catch (const MapsError& e) {
+    warn(std::string(what) + " failed: " + e.what());
+    ok = false;
   }
+  journal_retries_.fetch_add(static_cast<std::uint64_t>(retries));
+  return ok;
+}
+
+bool JobManager::save_manifest(const std::string& id, const io::JsonValue& doc) {
+  return persist("manifest save", [&](int* retries) {
+    runtime::durable::atomic_write(manifest_path(id), doc.dump(2) + "\n", "jobs.journal",
+                                   retries);
+  });
 }
 
 void JobManager::append_journal(const std::string& id, const io::JsonValue& line) {
-  if (options_.journal_dir.empty()) return;
-  const std::string path = journal_path(id);
-  const std::string text = line.dump() + "\n";
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    warn("cannot open journal " + path);
-    return;
-  }
-  // Crash contract: last fully flushed line wins. Retries truncate back to
-  // the committed size first so a torn partial write never glues onto the
-  // retried line (the ShardJournal::append posture).
-  const long committed = std::ftell(f);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      if (runtime::fault::point("jobs.journal")) {
-        throw MapsError("jobs: injected journal I/O failure");
-      }
-      const std::size_t wrote = std::fwrite(text.data(), 1, text.size(), f);
-      maps::require(wrote == text.size() && std::fflush(f) == 0,
-                    "jobs: journal write to " + path + " failed");
-      break;
-    } catch (const MapsError& e) {
-      std::clearerr(f);
-      const bool restored =
-          committed >= 0 &&
-          ::ftruncate(::fileno(f), static_cast<off_t>(committed)) == 0 &&
-          std::fseek(f, committed, SEEK_SET) == 0;
-      if (attempt >= kIoAttempts || !restored) {
-        warn(std::string("journal append failed: ") + e.what());
-        break;
-      }
-      journal_retries_.fetch_add(1);
-      io_retry_backoff(attempt);
-    }
-  }
-  std::fclose(f);
+  persist("journal append", [&](int* retries) {
+    runtime::durable::LineLog(journal_path(id)).append(line.dump(), "jobs.journal", retries);
+  });
 }
 
 void JobManager::compact(const std::string& id, const io::JsonValue& manifest_doc) {
-  if (options_.journal_dir.empty()) return;
   // Manifest first (atomic rename makes it the full record), journal
   // truncation second; a crash in between is healed by the resume-side
   // dedup on step numbers. If the manifest could not be saved, the journal
   // still holds the steps the older manifest lacks: keep it.
   if (!save_manifest(id, manifest_doc)) return;
-  std::FILE* f = std::fopen(journal_path(id).c_str(), "wb");
-  if (f != nullptr) std::fclose(f);
+  persist("journal truncate", [&](int* retries) {
+    runtime::durable::LineLog(journal_path(id)).truncate("jobs.journal", retries);
+  });
 }
 
 std::string JobManager::submit(const io::JsonValue& spec) {
@@ -905,28 +853,20 @@ int JobManager::resume_journaled() {
       continue;
     }
 
-    // Adopt journal lines newer than the manifest. A torn trailing line
-    // (kill mid-append) is uncommitted: stop there — the last fully
-    // flushed step wins.
-    std::ifstream is(journal_path(id), std::ios::binary);
-    std::string text;
-    while (is.good() && std::getline(is, text)) {
-      if (text.empty()) continue;
-      try {
-        const io::JsonValue line = io::json_parse(text);
-        const int step = static_cast<int>(line.at("step").as_int());
-        if (step <= job->step) continue;  // already compacted into the manifest
-        job->step = step;
-        job->objective = line.at("objective").as_number();
-        job->factorizations = static_cast<int>(line.at("factorizations").as_int());
-        job->solves = static_cast<int>(line.at("solves").as_int());
-        job->checkpoint = line.at("checkpoint");
-        const io::JsonValue& h = line.at("history");
-        if (!h.is_null()) job->history.push_back(h);
-      } catch (const std::exception&) {
-        break;
-      }
-    }
+    // Adopt journal lines newer than the manifest, up to the first torn
+    // one (a kill mid-append): the last fully flushed step wins.
+    runtime::durable::replay(journal_path(id), [&](const std::string& text) {
+      const io::JsonValue line = io::json_parse(text);
+      const int step = static_cast<int>(line.at("step").as_int());
+      if (step <= job->step) return;  // already compacted into the manifest
+      job->step = step;
+      job->objective = line.at("objective").as_number();
+      job->factorizations = static_cast<int>(line.at("factorizations").as_int());
+      job->solves = static_cast<int>(line.at("solves").as_int());
+      job->checkpoint = line.at("checkpoint");
+      const io::JsonValue& h = line.at("history");
+      if (!h.is_null()) job->history.push_back(h);
+    });
 
     job->state = persisted_state(job->state);
     seq_ = std::max(seq_, job->seq + 1);

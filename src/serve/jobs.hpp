@@ -22,17 +22,14 @@
 // cancellation checked between steps (queued -> cancelled immediately;
 // running -> cancelling -> cancelled at the next step boundary).
 //
-// Crash safety follows the ShardJournal append/compact pattern (runtime/):
-// every job keeps a manifest (`<id>.json`, atomic tmp+rename) plus a
-// line-per-step journal (`<id>.journal`, flushed appends) under
-// JobsOptions::journal_dir. A killed server re-adopts its jobs on restart
-// via resume_journaled(): the manifest plus the last fully flushed journal
-// line (torn trailing lines are ignored) reconstruct the exact optimizer
-// state — theta, Adam moments, step counter (which doubles as the RNG
-// stream position) — so a resumed run continues on the same trajectory and
-// lands on the same final objective as an uninterrupted one. Journal I/O
-// retries transient failures and is guarded by the `jobs.journal` fault
-// point; the step path by `jobs.step` (see runtime/fault.hpp).
+// Crash safety: every job keeps a manifest (`<id>.json`) and a
+// line-per-step journal (`<id>.journal`) under JobsOptions::journal_dir,
+// written through runtime/durable.hpp (fault point `jobs.journal`; what a
+// write survives is in src/runtime/README.md). resume_journaled() rebuilds
+// the exact optimizer state from them — theta, Adam moments, step counter
+// (which doubles as the RNG stream position) — so a resumed run lands on
+// the same final objective as an uninterrupted one. The step path has the
+// `jobs.step` fault point (see runtime/fault.hpp).
 //
 // Reliability mapping (PR 7 machinery): submits beyond max_queued are shed
 // with OverloadedError (HTTP 429 + Retry-After), drain() parks running jobs
@@ -43,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -150,6 +148,10 @@ class JobManager {
   std::string journal_path(const std::string& id) const;
   io::JsonValue manifest_json_locked(const Job& job) const;
   io::JsonValue status_locked(const Job& job) const;
+  /// Run one durable write (runtime/durable.hpp), adding its retries to
+  /// journal_retries. Past the retries it warns and returns false: the job
+  /// keeps running in memory, so durability degrades, the work does not.
+  bool persist(const char* what, const std::function<void(int*)>& write);
   /// False once the retries are spent (the older manifest stays in place).
   bool save_manifest(const std::string& id, const io::JsonValue& doc);
   void append_journal(const std::string& id, const io::JsonValue& line);

@@ -366,6 +366,7 @@ std::string metrics_text(const PredictionService& service,
     counter("maps_jobs_resumed_total", j.resumed);
     counter("maps_jobs_shed_total", j.shed);
     counter("maps_jobs_steps_total", j.steps);
+    counter("maps_jobs_journal_retries_total", j.journal_retries);
     gauge("maps_jobs_running", static_cast<double>(j.running));
     gauge("maps_jobs_queued", static_cast<double>(j.queued));
   }

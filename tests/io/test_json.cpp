@@ -7,6 +7,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -220,6 +221,15 @@ TEST(Json, FileRoundTrip) {
   const auto back = mio::json_load(path);
   EXPECT_TRUE(v == back);
   EXPECT_THROW(mio::json_load(path + ".does_not_exist"), maps::MapsError);
+}
+
+TEST(Json, SaveReportsAFailedFinalFlush) {
+  // A short document sits in the stream's buffer until close: a save that
+  // checked the stream before that returned normally on a full disk.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  JsonValue v;
+  v["hello"] = "world";
+  EXPECT_THROW(mio::json_save(v, "/dev/full"), maps::MapsError);
 }
 
 TEST(Json, DeterministicKeyOrder) {

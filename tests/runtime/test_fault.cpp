@@ -1,6 +1,8 @@
 // Deterministic fault injection (runtime/fault.hpp), deadline propagation
 // (runtime/deadline.hpp), and the shard journal/manifest I/O retry paths
-// they were built to test.
+// they were built to test, down to the write primitive behind them
+// (runtime/durable.hpp): retry counts, rollback, truncation in place,
+// replay, and an atomic write that never renames a file whose close failed.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,13 +11,18 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "runtime/deadline.hpp"
+#include "runtime/durable.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/shard.hpp"
 
+namespace fs = std::filesystem;
 namespace rt = maps::runtime;
+namespace durable = maps::runtime::durable;
 namespace fault = maps::runtime::fault;
 
 namespace {
@@ -196,6 +203,11 @@ struct TempDir {
   std::string file(const char* name) const { return (path / name).string(); }
 };
 
+std::string read_all(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
 int count_lines(const std::string& path) {
   std::ifstream is(path);
   int n = 0;
@@ -273,6 +285,89 @@ TEST(FaultRetry, JournalCompactSurvivesTransientFailure) {
   journal.append({0, 2, 200});                       // still usable
   journal.close();
   EXPECT_EQ(count_lines(dir.file("j.journal")), 1);
+}
+
+TEST(Durable, AtomicWriteCountsRetriesAndKeepsTheOldFileOnFailure) {
+  TempDir dir;
+  const std::string path = dir.file("m.json");
+  {
+    FaultGuard guard("manifest.save=io@nth:1");
+    int retries = 0;
+    durable::atomic_write(path, "{}\n", "manifest.save", &retries);
+    EXPECT_EQ(retries, 1);
+  }
+  FaultGuard guard("manifest.save=io");
+  int retries = 0;
+  EXPECT_THROW(durable::atomic_write(path, "[]\n", "manifest.save", &retries),
+               maps::MapsError);
+  EXPECT_EQ(retries, 2);  // 3 attempts; counted although the last one threw
+  EXPECT_EQ(read_all(path), "{}\n");
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST(Durable, FailedAppendLeavesOnlyCommittedLines) {
+  TempDir dir;
+  durable::LineLog log(dir.file("j.journal"));
+  FaultGuard guard("journal.append=io@nth:2");
+  int retries = 0;
+  log.append("first", "journal.append", &retries);
+  log.append("second", "journal.append", &retries);  // fails once, then lands
+  EXPECT_EQ(retries, 1);
+  fault::arm_from_spec("journal.append=io");
+  EXPECT_THROW(log.append("lost", "journal.append"), maps::MapsError);
+  fault::disarm_all();
+  log.append("third", "journal.append");
+  log.close();
+  EXPECT_EQ(read_all(dir.file("j.journal")), "first\nsecond\nthird\n");
+}
+
+TEST(Durable, TruncateEmptiesTheLogInPlace) {
+  TempDir dir;
+  durable::LineLog log(dir.file("j.journal"));
+  FaultGuard guard("");
+  log.append("a", "journal.append");
+  log.truncate("journal.compact");
+  // The next append's committed size is 0, not the old end: its failed
+  // first attempt must roll back to an empty file.
+  fault::arm_from_spec("journal.append=io@nth:1");
+  log.append("b", "journal.append");
+  log.close();
+  EXPECT_EQ(read_all(dir.file("j.journal")), "b\n");
+}
+
+TEST(Durable, ReplayStopsAtTheFirstRejectedLine) {
+  TempDir dir;
+  {
+    std::ofstream os(dir.file("j.journal"), std::ios::binary);
+    os << "1\n\n2\ntorn\n3\n";
+  }
+  std::vector<int> seen;
+  const auto consume = [&](const std::string& line) { seen.push_back(std::stoi(line)); };
+  durable::replay(dir.file("j.journal"), consume);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2}));
+  seen.clear();
+  durable::replay(dir.file("missing.journal"), consume);
+  EXPECT_TRUE(seen.empty());
+}
+
+TEST(Durable, ManifestSaveNeverRenamesAFileWhoseCloseFailed) {
+  // `<path>.tmp` links to /dev/full: the write sits in the stream buffer and
+  // fails only when fclose flushes it. The save must not rename the link
+  // over the manifest; its retry writes a regular file.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FaultGuard guard("");
+  TempDir dir;
+  const std::string path = dir.file("m.json");
+  rt::ShardManifest manifest;
+  manifest.dataset_name = "d";
+  manifest.completed.push_back({0, 7, 42});
+  fs::create_symlink("/dev/full", path + ".tmp");
+  manifest.save(path);
+  // Check before reading anything: reading /dev/full never ends.
+  ASSERT_FALSE(fs::is_symlink(path));
+  ASSERT_TRUE(fs::is_regular_file(path));
+  EXPECT_TRUE(rt::ShardManifest::load(path).is_completed(0, 7));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
 // --- deadline propagation ---------------------------------------------------

@@ -5,6 +5,7 @@
 // never a signal or another exception type.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -117,6 +118,35 @@ TEST(MergeShards, RejectsNegativePhases) {
   doc["phases"] = -1;
   files.write_manifest(doc.dump());
   EXPECT_THROW(rt::merge_shards(files.output(), 1, false), maps::MapsError);
+}
+
+TEST(MergeShards, RejectsRecordLengthsLargerThanThePartFile) {
+  // merge_shards reads .part files through data::read_sample, which bounds
+  // every length it reads by the bytes left: the device string's length
+  // (2^44) and eps's nx (2^40, then -3) must fail as MapsError.
+  ShardFiles files("lengths");
+  files.write_manifest(files.manifest().dump());
+  const std::string part = rt::shard_part_path(files.output(), 0, 1);
+  std::string good;
+  {
+    std::ifstream is(part, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+  }
+  const md::SampleRecord s = tiny_sample(0);
+  const std::size_t eps_nx =
+      3 * 8 + s.device.size() + s.excitation.size() + s.strategy.size() + 5 * 8;
+  const std::pair<std::size_t, std::uint64_t> crafted[] = {
+      {0, std::uint64_t{1} << 44},
+      {eps_nx, std::uint64_t{1} << 40},
+      {eps_nx, static_cast<std::uint64_t>(-3)}};
+  for (const auto& [at, value] : crafted) {
+    std::string bytes = good;
+    std::memcpy(&bytes[at], &value, sizeof(value));
+    std::ofstream(part, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_THROW(rt::merge_shards(files.output(), 1, false), maps::MapsError) << at;
+  }
+  std::ofstream(part, std::ios::binary | std::ios::trunc) << good;
+  EXPECT_EQ(rt::merge_shards(files.output(), 1, false).size(), 2u);
 }
 
 TEST(ShardManifest, FromJsonRejectsOutOfRangeFields) {

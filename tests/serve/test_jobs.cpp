@@ -1,17 +1,23 @@
 // JobManager: the long-running jobs behind /v1/jobs — lifecycle, sweep
 // engines, cancellation, admission control, crash-safe journal resume
-// (including the pinned resumed-equals-uninterrupted final objective), and
-// chaos behavior at the jobs.step / jobs.journal fault points.
+// (including the pinned resumed-equals-uninterrupted final objective),
+// chaos behavior at the jobs.step / jobs.journal fault points, and a
+// seeded mutation corpus (tests/json_mutants.hpp) over a job's manifest
+// and journal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 
+#include "../json_mutants.hpp"
 #include "io/json.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/task_queue.hpp"
@@ -438,4 +444,90 @@ TEST(Jobs, StepFaultFailsTheJobWithItsMessage) {
   EXPECT_NE(result.at("error").at("message").as_string().find("injected"),
             std::string::npos);
   EXPECT_EQ(jobs.stats().failed, 1u);
+}
+
+// --- hostile journal files ---------------------------------------------------
+
+namespace {
+
+std::string read_all(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// Resume `id` from the given manifest and journal bytes with a drained
+/// manager, so no mutated spec runs (job specs are not cost-bounded yet).
+/// The job must be skipped with a warning or adopted with a status that
+/// answers; returns true when it was adopted.
+bool resume_skips_or_adopts(runtime::TaskQueue& queue, const std::string& dir,
+                            const std::string& id, const std::string& manifest,
+                            const std::string& journal) {
+  std::ofstream(dir + "/" + id + ".json", std::ios::binary | std::ios::trunc) << manifest;
+  std::ofstream(dir + "/" + id + ".journal", std::ios::binary | std::ios::trunc) << journal;
+  serve::JobsOptions options;
+  options.journal_dir = dir;
+  std::ostringstream log;
+  serve::JobManager jobs(queue, options, &log);
+  jobs.drain();
+  try {
+    (void)jobs.resume_journaled();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "resume threw " << e.what();
+    return false;
+  }
+  bool adopted = false;
+  const io::JsonValue listed = jobs.list();
+  for (const auto& j : listed.at("jobs").as_array()) {
+    adopted = adopted || j.at("id").as_string() == id;
+  }
+  if (adopted) {
+    EXPECT_NO_THROW(EXPECT_TRUE(jobs.status(id).at("state").is_string()));
+  } else {
+    EXPECT_NE(log.str().find("warning"), std::string::npos) << "skipped silently";
+    EXPECT_NE(log.str().find(id), std::string::npos) << log.str();
+  }
+  return adopted;
+}
+
+}  // namespace
+
+TEST(Jobs, MutatedManifestsAndJournalsAreSkippedOrAdopted) {
+  FaultGuard guard("");
+  const std::string dir = scratch_dir("corpus");
+
+  // Park a job a few steps in while every jobs.journal write fails: the
+  // park's compaction cannot save the manifest, so it keeps the journal,
+  // and the files hold the submit-time manifest plus one line per step.
+  std::string id;
+  {
+    runtime::TaskQueue queue(2);
+    serve::JobsOptions options;
+    options.journal_dir = dir;
+    std::ostringstream log;
+    serve::JobManager jobs(queue, options, &log);
+    id = jobs.submit(invdes_spec(40));
+    wait_step(jobs, id, 3);
+    fault::arm_from_spec("jobs.journal=io");
+    jobs.drain();
+  }
+  fault::disarm_all();
+  const std::string manifest = read_all(dir + "/" + id + ".json");
+  const std::string journal = read_all(dir + "/" + id + ".journal");
+  ASSERT_FALSE(manifest.empty());
+  ASSERT_GE(std::count(journal.begin(), journal.end(), '\n'), 3);
+
+  runtime::TaskQueue queue(1);
+  ASSERT_TRUE(resume_skips_or_adopts(queue, dir, id, manifest, journal));
+  std::size_t adopted = 0, skipped = 0;
+  for (const std::string& m : maps::test::json_mutants(manifest, 400, 59)) {
+    SCOPED_TRACE("manifest mutant: " + m);
+    resume_skips_or_adopts(queue, dir, id, m, journal) ? ++adopted : ++skipped;
+  }
+  EXPECT_GT(adopted, 0u);
+  EXPECT_GT(skipped, 0u);
+  for (const std::string& m : maps::test::json_mutants(journal, 200, 61)) {
+    // A mutated journal never costs the job: the manifest alone is valid.
+    EXPECT_TRUE(resume_skips_or_adopts(queue, dir, id, manifest, m));
+  }
+  std::filesystem::remove_all(dir);
 }

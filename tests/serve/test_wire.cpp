@@ -388,4 +388,24 @@ TEST(Wire, StatsJsonCarriesJobsBlockWhenMounted) {
   EXPECT_EQ(v.at("jobs").at("queued").as_int(), 2);
 }
 
+TEST(Wire, MetricsPageCarriesEveryJobsStat) {
+  // /v1/metrics and the /v1/stats "jobs" block render one snapshot: every
+  // key of the block needs its Prometheus line (a counter or a gauge).
+  serve::ServeOptions options;
+  options.workers = 1;
+  serve::PredictionService service(tiny_registry(), options);
+  runtime::TaskQueue queue(1);
+  serve::JobManager jobs(queue);
+  const serve::JobsStatsSnapshot snapshot = jobs.stats();
+  const JsonValue block = serve::stats_to_json(service.stats(), &snapshot).at("jobs");
+  const std::string text = serve::metrics_text(service, &jobs);
+  ASSERT_FALSE(block.as_object().empty());
+  for (const auto& [key, value] : block.as_object()) {
+    const std::string name = "\nmaps_jobs_" + key;
+    EXPECT_TRUE(text.find(name + "_total ") != std::string::npos ||
+                text.find(name + " ") != std::string::npos)
+        << "no metrics line for jobs." << key;
+  }
+}
+
 }  // namespace

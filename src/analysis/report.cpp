@@ -18,7 +18,8 @@ void write_csv(const std::string& path, const std::vector<std::string>& header,
       os << row[c] << (c + 1 < row.size() ? "," : "\n");
     }
   }
-  maps::require(os.good(), "write_csv: write failed");
+  os.close();  // flushes the last buffer: check after it, not before
+  maps::require(!os.fail(), "write_csv: write failed for " + path);
 }
 
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}

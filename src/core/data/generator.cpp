@@ -94,11 +94,9 @@ std::vector<SampleRecord> simulate_pattern(const devices::DeviceProblem& device,
   std::vector<SampleRecord> records(device.excitations.size());
 
   for (const auto& group : device.excitation_groups()) {
-    // Patterns are unique per call, so the device cache would only thrash:
-    // solve the group against a throwaway backend (use_cache = false), whose
-    // counters are then exactly this group's work.
-    auto gs = device.solve_excitation_group(base_eps, group, /*with_adjoint=*/true,
-                                            /*use_cache=*/false);
+    // A group solved with adjoints bypasses the device cache, so its
+    // throwaway backend's counters are exactly this group's work.
+    auto gs = device.solve_excitation_group(base_eps, group, /*with_adjoint=*/true);
     if (work != nullptr) {
       const solver::SolverStats spent = gs.sim.backend().stats();
       work->factorizations += spent.factorizations;

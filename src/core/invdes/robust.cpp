@@ -37,7 +37,7 @@ std::vector<CornerReport> RobustInverseDesigner::evaluate_corners(
     param::DesignPipeline pipe = make_corner_pipeline(corner);
     const RealGrid eps = pipe.eps_of(theta);
     GradEval ge = provider.evaluate(eps);
-    reports.push_back({corner, ge.fom, ge.transmissions});
+    reports.push_back({corner, ge.fom, ge.transmissions, ge.factorizations, ge.solves});
   }
   return reports;
 }
@@ -48,19 +48,6 @@ RobustResult RobustInverseDesigner::run(std::vector<double> theta0,
   std::vector<param::DesignPipeline> pipes;
   pipes.reserve(corners.size());
   for (LithoCorner c : corners) pipes.push_back(make_corner_pipeline(c));
-
-  // Size the device's factorization cache so one full corner sweep (every
-  // corner times every excitation operator) stays resident: the closing
-  // evaluate_corners pass then reuses the last iteration's factorizations.
-  solver::CacheStats cache_before;
-  if (device_.solver_cache) {
-    const std::size_t per_sweep =
-        corners.size() * std::max<std::size_t>(1, device_.excitations.size());
-    if (device_.solver_cache->capacity() < per_sweep) {
-      device_.solver_cache->set_capacity(per_sweep);
-    }
-    cache_before = device_.solver_cache->stats();
-  }
 
   maps::require(static_cast<int>(theta0.size()) == pipes[0].num_params(),
                 "RobustInverseDesigner: theta0 size mismatch");
@@ -117,14 +104,10 @@ RobustResult RobustInverseDesigner::run(std::vector<double> theta0,
   for (const auto& rep : res.corners) {
     agg = options_.worst_case ? std::min(agg == 0.0 ? rep.fom : agg, rep.fom)
                               : agg + rep.fom / static_cast<double>(res.corners.size());
+    res.total_factorizations += rep.factorizations;
+    res.total_solves += rep.solves;
   }
   res.robust_fom = agg;
-  if (device_.solver_cache) {
-    const auto after = device_.solver_cache->stats();
-    res.cache.hits = after.hits - cache_before.hits;
-    res.cache.misses = after.misses - cache_before.misses;
-    res.cache.evictions = after.evictions - cache_before.evictions;
-  }
   return res;
 }
 

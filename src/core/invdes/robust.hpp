@@ -24,6 +24,8 @@ struct CornerReport {
   param::LithoCorner corner;
   double fom = 0.0;
   std::vector<double> transmissions;
+  int factorizations = 0;  // solver work of this corner's evaluation
+  int solves = 0;
 };
 
 struct RobustResult {
@@ -31,10 +33,8 @@ struct RobustResult {
   double robust_fom = 0.0;
   std::vector<CornerReport> corners;
   std::vector<double> history;  // robust FoM per iteration
-  /// Device solver-cache counters over the run: the post-optimization corner
-  /// report re-visits the final iteration's operators, so hits > 0 whenever
-  /// the device cache is enabled.
-  solver::CacheStats cache;
+  /// Solver work of the whole run: every iteration's corner evaluations and
+  /// the closing corner report.
   int total_factorizations = 0;
   int total_solves = 0;
 };

@@ -186,8 +186,9 @@ DeviceProblem finalize(const Layout& lay, std::string name, const Structure& s,
   d.name = std::move(name);
   d.spec = lay.spec;
   d.sim_options = sim_options(lay);
-  // Sized for a corner sweep: every litho corner of a multi-excitation
-  // device can stay resident between the optimization and report passes.
+  // Serves forward-only evaluate() calls (gradient evaluations bypass it).
+  // Sized so a forward corner or S-parameter sweep of a multi-excitation
+  // device stays resident from one pass to the next.
   d.solver_cache = std::make_shared<solver::FactorizationCache>(
       std::max<std::size_t>(8, 4 * specs.size()));
   d.design_map = design_map_for(lay, s);

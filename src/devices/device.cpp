@@ -55,11 +55,11 @@ RealGrid DeviceProblem::excitation_eps(const RealGrid& eps, const Excitation& ex
 
 DeviceProblem::GroupSolution DeviceProblem::solve_excitation_group(
     const RealGrid& base_eps, const std::vector<std::size_t>& group,
-    bool with_adjoint, bool use_cache) const {
+    bool with_adjoint) const {
   maps::require(!group.empty(), "solve_excitation_group: empty group");
   const auto& first = excitations[group.front()];
   GroupSolution gs{fdfd::Simulation(spec, excitation_eps(base_eps, first), first.omega,
-                                    use_cache ? cached_sim_options() : sim_options),
+                                    with_adjoint ? sim_options : cached_sim_options()),
                    {}, {}, 0, 0};
   const int f0 = gs.sim.factorization_count(), s0 = gs.sim.solve_count();
 
@@ -89,8 +89,7 @@ DeviceEval DeviceProblem::evaluate(const RealGrid& eps) const {
   DeviceEval ev;
   ev.per_excitation.resize(excitations.size());
   for (const auto& group : group_excitations(excitations)) {
-    auto gs = solve_excitation_group(eps, group, /*with_adjoint=*/false,
-                                     /*use_cache=*/true);
+    auto gs = solve_excitation_group(eps, group, /*with_adjoint=*/false);
     for (std::size_t k = 0; k < group.size(); ++k) {
       const auto& exc = excitations[group[k]];
       ExcitationResult r;
@@ -113,8 +112,7 @@ DeviceProblem::GradEval DeviceProblem::evaluate_with_gradient(const RealGrid& ep
   ev.grad_eps = RealGrid(spec.nx, spec.ny, 0.0);
   ev.per_excitation.resize(excitations.size());
   for (const auto& group : group_excitations(excitations)) {
-    auto gs = solve_excitation_group(eps, group, /*with_adjoint=*/true,
-                                     /*use_cache=*/true);
+    auto gs = solve_excitation_group(eps, group, /*with_adjoint=*/true);
     for (std::size_t k = 0; k < group.size(); ++k) {
       const auto& exc = excitations[group[k]];
       ExcitationResult r;

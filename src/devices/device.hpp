@@ -54,13 +54,14 @@ class DeviceProblem {
   fdfd::SimOptions sim_options;
   param::DesignMap design_map;      // base_eps rendered from the static geometry
   std::vector<Excitation> excitations;
-  /// Shared factorization cache for this device's evaluations: corner
-  /// sweeps, S-param passes and repeated evaluations of one eps reuse the
-  /// prepared backend instead of re-factorizing.
+  /// Shared factorization cache for forward-only evaluate() calls: corner
+  /// and S-parameter sweeps and repeated evaluations of one eps reuse the
+  /// prepared backend instead of re-factorizing. Solves with adjoints
+  /// bypass it (solve_excitation_group).
   std::shared_ptr<solver::FactorizationCache> solver_cache;
 
-  /// sim_options with the device cache attached (the options every
-  /// evaluation path passes to Simulation).
+  /// sim_options with the device cache attached (the options evaluate()
+  /// passes to Simulation).
   fdfd::SimOptions cached_sim_options() const;
 
   /// Permittivity actually simulated for an excitation (adds delta_eps).
@@ -75,7 +76,11 @@ class DeviceProblem {
   /// One operator group solved end-to-end: batched forward fields (aligned
   /// with the group's index order), optionally batched adjoints, and the
   /// solver work the group cost. The Simulation member keeps the backend —
-  /// and with it op()/W — alive for consumers of the fields.
+  /// and with it op()/W — alive for consumers of the fields. A forward-only
+  /// group goes through the device cache. A group solved with adjoints (a
+  /// gradient step, a datagen label) bypasses it: such an eps is never
+  /// visited again, so its factorization could not hit and would only stay
+  /// resident.
   struct GroupSolution {
     fdfd::Simulation sim;
     std::vector<maps::math::CplxGrid> fields;
@@ -85,7 +90,7 @@ class DeviceProblem {
   };
   GroupSolution solve_excitation_group(const maps::math::RealGrid& base_eps,
                                        const std::vector<std::size_t>& group,
-                                       bool with_adjoint, bool use_cache) const;
+                                       bool with_adjoint) const;
 
   /// Forward-evaluate a candidate permittivity map across all excitations.
   /// Excitations sharing one operator (same omega, no per-excitation eps

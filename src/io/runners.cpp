@@ -64,6 +64,7 @@ void write_density_csv(const maps::math::RealGrid& density, const std::string& p
       out << density(i, j) << (i + 1 == density.nx() ? '\n' : ',');
     }
   }
+  out.close();  // flushes the last buffer: check after it, not before
   if (!out) throw MapsError("write_density_csv: write failed for " + path);
 }
 
@@ -85,10 +86,10 @@ void probe_writable(const std::string& path) {
   if (!existed) std::remove(path.c_str());
 }
 
-/// Aggregate hit/miss counters of the (deduplicated) device caches.
-/// Datagen's per-pattern tasks bypass the cache on purpose (every pattern
-/// is a fresh operator), so the job-wide delta reflects the phases that do
-/// reuse operators — trajectory sampling above all.
+/// Aggregate hit/miss counters of the (deduplicated) device caches. The
+/// device cache serves only forward-only evaluate() calls: datagen's
+/// per-pattern tasks (every pattern is a fresh operator) and trajectory
+/// sampling's gradient steps (every step moves the design) both bypass it.
 solver::CacheStats device_cache_stats(
     std::initializer_list<const devices::DeviceProblem*> devs) {
   solver::CacheStats total;
@@ -124,9 +125,8 @@ JsonValue run_datagen(const DataGenConfig& config, std::ostream& log) {
     obs::log_to(&log, obs::LogLevel::Info, "datagen", msg.str());
   }
 
-  // Job-wide cache accounting: trajectory sampling runs real inverse
-  // designs through the device cache; snapshot before it, not around the
-  // generation pipeline only.
+  // Job-wide cache accounting: snapshot before pattern sampling, not
+  // around the generation pipeline only.
   const auto cache_before = device_cache_stats({&device});
   const auto patterns = data::sample_patterns(device, config.device, config.sampler);
   obs::log_to(&log, obs::LogLevel::Info, "datagen",
@@ -336,6 +336,8 @@ JsonValue run_invdes(const InvDesConfig& config, std::ostream& log) {
     for (const auto& it : result.history) {
       out << it.iteration << ',' << it.fom << ',' << it.beta << '\n';
     }
+    out.close();  // flushes the last buffer: check after it, not before
+    if (!out) throw MapsError("run_invdes: write failed for " + config.history_out);
     log << "[invdes] history -> " << config.history_out << "\n";
   }
 

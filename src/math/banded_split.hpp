@@ -15,7 +15,9 @@
 // split into two scalar planes (re/im). The inner loops then compile to
 // plain FMAs with no interleave shuffles and no libstdc++ complex-multiply
 // fixups. After factorize() the diagonal holds d_j and the subdiagonals the
-// multipliers l_{i,j}. No pivot vector exists.
+// multipliers l_{i,j}. No pivot vector exists. Both planes come from the
+// block recycler (math/recycle.hpp), so a repeated solve of one shape
+// reuses the previous band's pages instead of faulting in fresh ones.
 //
 // Cost (n = nx*ny, kl = nx for FDFD): the factorization is ~n·kl²/2
 // complex FMAs, against ~n·kl·(kl+ku) for pivoted banded LU, and the band
@@ -45,6 +47,7 @@
 
 #include <vector>
 
+#include "math/recycle.hpp"
 #include "math/types.hpp"
 
 namespace maps::math {
@@ -87,7 +90,7 @@ class SymBandLdltT {
   }
 
   index_t n_ = 0, kl_ = 0;
-  std::vector<T> re_, im_;
+  RecycledVector<T> re_, im_;
   bool factorized_ = false;
 };
 

@@ -18,13 +18,10 @@ class Grid2D {
  public:
   Grid2D() = default;
   Grid2D(index_t nx, index_t ny, T fill = T{})
-      : nx_(nx), ny_(ny), data_(static_cast<std::size_t>(nx * ny), fill) {
-    require(nx >= 0 && ny >= 0, "Grid2D: negative dimensions");
-  }
+      : nx_(nx), ny_(ny), data_(checked_size(nx, ny), fill) {}
   Grid2D(index_t nx, index_t ny, std::vector<T> data)
       : nx_(nx), ny_(ny), data_(std::move(data)) {
-    require(static_cast<index_t>(data_.size()) == nx * ny,
-            "Grid2D: data size mismatch");
+    require(data_.size() == checked_size(nx, ny), "Grid2D: data size mismatch");
   }
 
   index_t nx() const { return nx_; }
@@ -60,6 +57,12 @@ class Grid2D {
   bool same_shape(const Grid2D& o) const { return nx_ == o.nx_ && ny_ == o.ny_; }
 
  private:
+  /// nx * ny, after rejecting a negative dimension (before anything is sized).
+  static std::size_t checked_size(index_t nx, index_t ny) {
+    require(nx >= 0 && ny >= 0, "Grid2D: negative dimensions");
+    return static_cast<std::size_t>(nx * ny);
+  }
+
   index_t nx_ = 0, ny_ = 0;
   std::vector<T> data_;
 };

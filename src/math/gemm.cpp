@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "math/parallel.hpp"
+#include "math/recycle.hpp"
 
 namespace maps::math {
 
@@ -204,7 +204,7 @@ void sgemm(Trans trans_a, Trans trans_b, index_t M, index_t N, index_t K,
   // packed when alpha != 1, as alpha * a: the same rounded product the
   // kernel would otherwise form at every k step of every tile, so the bits
   // do not change and the kernel's inner loop carries no alpha multiply.
-  std::vector<float> a_buf, b_buf;
+  RecycledVector<float> a_buf, b_buf;
   const float* Ap = A;
   index_t lda_p = lda;
   if (trans_a == Trans::Yes || alpha != 1.0f) {

@@ -60,7 +60,8 @@ void save_parameters(Module& model, const std::string& path,
       os.write(reinterpret_cast<const char*>(&value), sizeof(value));
     }
   }
-  require(os.good(), "save_parameters: write failed");
+  os.close();  // flushes the last buffer: check after it, not before
+  require(!os.fail(), "save_parameters: write failed");
 }
 
 void load_parameters(Module& model, const std::string& path) {

@@ -13,6 +13,7 @@
 namespace maps::nn {
 
 using maps::math::parallel_for_chunked;
+using maps::math::RecycledVector;
 using maps::math::sgemm;
 using maps::math::Trans;
 
@@ -116,24 +117,24 @@ void swap_outer(const float* src, index_t a, index_t b, index_t c, float* dst) {
 // b * half + q of a row pairs with weight (b, ., ., q), half = mx*my or m.
 
 /// 2D coefficients of `planes` real (h x w) planes.
-std::vector<float> dft2(const float* x, index_t planes, index_t h, index_t w,
-                        const std::vector<float>& fx, const std::vector<float>& fy,
-                        index_t mx, index_t my) {
+RecycledVector<float> dft2(const float* x, index_t planes, index_t h, index_t w,
+                           const std::vector<float>& fx, const std::vector<float>& fy,
+                           index_t mx, index_t my) {
   const index_t kx = 2 * mx, cols = planes * 2 * kx, modes = kx * my;
   // Along x, every line at once: (plane, y) rows of [re | im] over kx.
-  std::vector<float> a(static_cast<std::size_t>(h * cols));
-  std::vector<float> at(a.size());
+  RecycledVector<float> a(static_cast<std::size_t>(h * cols));
+  RecycledVector<float> at(a.size());
   sgemm(Trans::No, Trans::No, planes * h, 2 * kx, w, 1.0f, x, w, fx.data(), 2 * kx,
         0.0f, a.data(), 2 * kx);
   // Along y, all planes in one GEMM: the basis on the left, every plane's
   // kept columns side by side on the right.
   swap_outer(a.data(), planes, h, 2 * kx, at.data());
-  std::vector<float> b(static_cast<std::size_t>(2 * my * cols));
+  RecycledVector<float> b(static_cast<std::size_t>(2 * my * cols));
   sgemm(Trans::Yes, Trans::No, 2 * my, cols, h, 1.0f, fy.data(), 2 * my, at.data(), cols,
         0.0f, b.data(), cols);
   // Rows ky of b hold A cos and rows my + ky hold -A sin, A = Ar + i Ai:
   // (Ar + i Ai)(C - i S) = (Ar C + Ai S) + i (Ai C - Ar S).
-  std::vector<float> c(static_cast<std::size_t>(planes * 2 * modes));
+  RecycledVector<float> c(static_cast<std::size_t>(planes * 2 * modes));
   for (index_t p = 0; p < planes; ++p) {
     float* re = c.data() + p * 2 * modes;
     float* im = re + modes;
@@ -150,14 +151,14 @@ std::vector<float> dft2(const float* x, index_t planes, index_t h, index_t w,
 }
 
 /// scale * Re(inverse DFT) of 2D coefficients into `planes` (h x w) planes.
-void idft2(const std::vector<float>& c, index_t planes, index_t h, index_t w,
+void idft2(const RecycledVector<float>& c, index_t planes, index_t h, index_t w,
            const std::vector<float>& fx, const std::vector<float>& fy, index_t mx,
            index_t my, float scale, float* y) {
   const index_t kx = 2 * mx, cols = planes * 2 * kx, modes = kx * my;
   // Along y: Z = sum_ky Y e^{+i ky y}, i.e. Zr = Yr cos - Yi sin and
   // Zi = Yi cos + Yr sin, is the y basis times rows ky of [Yr | Yi] and rows
   // my + ky of [Yi | -Yr] (every plane side by side, as in dft2).
-  std::vector<float> u(static_cast<std::size_t>(2 * my * cols));
+  RecycledVector<float> u(static_cast<std::size_t>(2 * my * cols));
   for (index_t p = 0; p < planes; ++p) {
     const float* re = c.data() + p * 2 * modes;
     const float* im = re + modes;
@@ -172,8 +173,8 @@ void idft2(const std::vector<float>& c, index_t planes, index_t h, index_t w,
       }
     }
   }
-  std::vector<float> z(static_cast<std::size_t>(h * cols));
-  std::vector<float> zt(z.size());
+  RecycledVector<float> z(static_cast<std::size_t>(h * cols));
+  RecycledVector<float> zt(z.size());
   sgemm(Trans::No, Trans::No, h, cols, 2 * my, 1.0f, fy.data(), 2 * my, u.data(), cols,
         0.0f, z.data(), cols);
   // Along x: Zr cos - Zi sin is the x basis transposed.
@@ -183,23 +184,23 @@ void idft2(const std::vector<float>& c, index_t planes, index_t h, index_t w,
 }
 
 /// 1D coefficients along x (rows) or y (columns) of `planes` (h x w) planes.
-std::vector<float> dft_lines(const float* x, index_t planes, index_t h, index_t w,
-                             bool along_x, const std::vector<float>& f, index_t m) {
+RecycledVector<float> dft_lines(const float* x, index_t planes, index_t h, index_t w,
+                                bool along_x, const std::vector<float>& f, index_t m) {
   const index_t len = along_x ? w : h, lines = planes * (along_x ? h : w);
-  std::vector<float> xt;
+  RecycledVector<float> xt;
   if (!along_x) {  // columns become contiguous lines
     xt.resize(static_cast<std::size_t>(planes * h * w));
     transpose_batch(x, planes, h, w, xt.data());
     x = xt.data();
   }
-  std::vector<float> c(static_cast<std::size_t>(lines * 4 * m));
+  RecycledVector<float> c(static_cast<std::size_t>(lines * 4 * m));
   sgemm(Trans::No, Trans::No, lines, 4 * m, len, 1.0f, x, len, f.data(), 4 * m, 0.0f,
         c.data(), 4 * m);
   return c;
 }
 
 /// scale * Re(inverse DFT) of 1D coefficients into `planes` (h x w) planes.
-void idft_lines(const std::vector<float>& c, index_t planes, index_t h, index_t w,
+void idft_lines(const RecycledVector<float>& c, index_t planes, index_t h, index_t w,
                 bool along_x, const std::vector<float>& f, index_t m, float scale,
                 float* y) {
   const index_t len = along_x ? w : h, lines = planes * (along_x ? h : w);
@@ -208,7 +209,7 @@ void idft_lines(const std::vector<float>& c, index_t planes, index_t h, index_t 
           4 * m, 0.0f, y, len);
     return;
   }
-  std::vector<float> yt(static_cast<std::size_t>(lines * len));
+  RecycledVector<float> yt(static_cast<std::size_t>(lines * len));
   sgemm(Trans::No, Trans::Yes, lines, len, 4 * m, scale, c.data(), 4 * m, f.data(),
         4 * m, 0.0f, yt.data(), len);
   transpose_batch(yt.data(), planes, w, h, y);
@@ -220,12 +221,12 @@ void idft_lines(const std::vector<float>& c, index_t planes, index_t h, index_t 
 /// channel): out[n, o] = sum_i w(i, o) * in[n, i], with w(i, o) =
 /// W[b, i, o, q], or conj(W[b, o, i, q]) for the adjoint (in = the output
 /// side's gradient, out = the input side's).
-std::vector<float> mix_modes(const std::vector<float>& in, index_t n_batch,
-                             index_t c_from, index_t c_to, index_t lines,
-                             index_t half, const float* w, bool adjoint) {
+RecycledVector<float> mix_modes(const RecycledVector<float>& in, index_t n_batch,
+                                index_t c_from, index_t c_to, index_t lines,
+                                index_t half, const float* w, bool adjoint) {
   const index_t modes = 2 * half, row = 2 * modes;
   const float sign = adjoint ? -1.0f : 1.0f;
-  std::vector<float> out(static_cast<std::size_t>(n_batch * c_to * lines * row), 0.0f);
+  RecycledVector<float> out(static_cast<std::size_t>(n_batch * c_to * lines * row), 0.0f);
   parallel_for_chunked(
       0, static_cast<std::size_t>(n_batch * c_to), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t idx = lo; idx < hi; ++idx) {
@@ -256,7 +257,8 @@ std::vector<float> mix_modes(const std::vector<float>& in, index_t n_batch,
 }
 
 /// dW[b, i, o, q] += scale * sum_{n, line} conj(X[n, i, (b,q)]) G[n, o, (b,q)].
-void accumulate_weight_grad(const std::vector<float>& x, const std::vector<float>& g,
+void accumulate_weight_grad(const RecycledVector<float>& x,
+                            const RecycledVector<float>& g,
                             index_t n_batch, index_t c_in, index_t c_out,
                             index_t lines, index_t half, float scale, float* gw) {
   const index_t modes = 2 * half, row = 2 * modes;
@@ -321,7 +323,7 @@ SpectralConv2d::SpectralConv2d(index_t c_in, index_t c_out, index_t modes_x,
   spectral_init(w_.value, c_in, rng);
 }
 
-Tensor SpectralConv2d::run_forward(const Tensor& x, std::vector<float>& x_hat) const {
+Tensor SpectralConv2d::run_forward(const Tensor& x, RecycledVector<float>& x_hat) const {
   require(x.ndim() == 4 && x.size(1) == c_in_, "SpectralConv2d: bad input shape");
   const index_t N = x.size(0), H = x.size(2), W = x.size(3);
   require(2 * mx_ <= W && my_ <= H, "SpectralConv2d: modes exceed grid");
@@ -344,7 +346,7 @@ Tensor SpectralConv2d::forward(const Tensor& x) {
 }
 
 Tensor SpectralConv2d::infer(const Tensor& x) const {
-  std::vector<float> x_hat;  // dropped: infer keeps no backward state
+  RecycledVector<float> x_hat;  // dropped: infer keeps no backward state
   return run_forward(x, x_hat);
 }
 
@@ -377,7 +379,7 @@ SpectralConv1d::SpectralConv1d(index_t c_in, index_t c_out, index_t modes,
   spectral_init(w_.value, c_in, rng);
 }
 
-Tensor SpectralConv1d::run_forward(const Tensor& x, std::vector<float>& x_hat) const {
+Tensor SpectralConv1d::run_forward(const Tensor& x, RecycledVector<float>& x_hat) const {
   require(x.ndim() == 4 && x.size(1) == c_in_, "SpectralConv1d: bad input shape");
   const index_t N = x.size(0), H = x.size(2), W = x.size(3);
   const bool along_x = axis_ == FftAxis::X;
@@ -400,7 +402,7 @@ Tensor SpectralConv1d::forward(const Tensor& x) {
 }
 
 Tensor SpectralConv1d::infer(const Tensor& x) const {
-  std::vector<float> x_hat;
+  RecycledVector<float> x_hat;
   return run_forward(x, x_hat);
 }
 

@@ -13,9 +13,12 @@
 // the cost is O(H*W*modes) GEMM work and any grid size is exact. Both layers
 // have exact adjoint backward passes: the same GEMMs with the bases
 // transposed, and weight gradients from the conjugated products of the
-// cached kept-mode coefficients.
+// cached kept-mode coefficients. Transform scratch and kept-mode buffers are
+// recycled blocks (math/recycle.hpp): a forward allocates the same sizes on
+// every call.
 #pragma once
 
+#include "math/recycle.hpp"
 #include "nn/module.hpp"
 
 namespace maps::nn {
@@ -36,13 +39,14 @@ class SpectralConv2d final : public Module {
   /// forward() and infer(). On return `x_hat` holds the input's kept-mode
   /// coefficients (the forward path moves it into the backward cache; infer
   /// drops it).
-  Tensor run_forward(const Tensor& x, std::vector<float>& x_hat) const;
+  Tensor run_forward(const Tensor& x, maps::math::RecycledVector<float>& x_hat) const;
 
   index_t c_in_, c_out_, mx_, my_;
   std::string tag_;
   // (2 blocks, c_in, c_out, mx, my, 2[re/im])
   Param w_;
-  std::vector<float> x_hat_;  // cached kept-mode coefficients of the input
+  // Cached kept-mode coefficients of the input.
+  maps::math::RecycledVector<float> x_hat_;
   std::vector<index_t> in_shape_;
 };
 
@@ -60,14 +64,14 @@ class SpectralConv1d final : public Module {
   std::vector<Param*> parameters() override { return {&w_}; }
 
  private:
-  Tensor run_forward(const Tensor& x, std::vector<float>& x_hat) const;
+  Tensor run_forward(const Tensor& x, maps::math::RecycledVector<float>& x_hat) const;
 
   index_t c_in_, c_out_, m_;
   FftAxis axis_;
   std::string tag_;
   // (2 blocks, c_in, c_out, m, 2[re/im])
   Param w_;
-  std::vector<float> x_hat_;
+  maps::math::RecycledVector<float> x_hat_;
   std::vector<index_t> in_shape_;
 };
 

@@ -2,11 +2,14 @@
 //
 // Row-major, value semantics. Field maps follow the (N, C, H, W) layout with
 // W indexing x and H indexing y, so W lines up with the Grid2D fast axis.
+// Storage comes from the block recycler (math/recycle.hpp): a forward
+// allocates the same few activation sizes on every call.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "math/recycle.hpp"
 #include "math/types.hpp"
 
 namespace maps::nn {
@@ -50,7 +53,7 @@ class Tensor {
 
  private:
   std::vector<index_t> shape_;
-  std::vector<float> data_;
+  maps::math::RecycledVector<float> data_;
 };
 
 }  // namespace maps::nn

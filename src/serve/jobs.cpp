@@ -854,17 +854,23 @@ int JobManager::resume_journaled() {
     }
 
     // Adopt journal lines newer than the manifest, up to the first torn
-    // one (a kill mid-append): the last fully flushed step wins.
+    // one (a kill mid-append): the last fully flushed step wins. Every field
+    // is read before any is adopted, so a line that lacks one ends replay
+    // the way a torn line does.
     runtime::durable::replay(journal_path(id), [&](const std::string& text) {
       const io::JsonValue line = io::json_parse(text);
       const int step = static_cast<int>(line.at("step").as_int());
       if (step <= job->step) return;  // already compacted into the manifest
-      job->step = step;
-      job->objective = line.at("objective").as_number();
-      job->factorizations = static_cast<int>(line.at("factorizations").as_int());
-      job->solves = static_cast<int>(line.at("solves").as_int());
-      job->checkpoint = line.at("checkpoint");
+      const double objective = line.at("objective").as_number();
+      const int factorizations = static_cast<int>(line.at("factorizations").as_int());
+      const int solves = static_cast<int>(line.at("solves").as_int());
+      const io::JsonValue& checkpoint = line.at("checkpoint");
       const io::JsonValue& h = line.at("history");
+      job->step = step;
+      job->objective = objective;
+      job->factorizations = factorizations;
+      job->solves = solves;
+      job->checkpoint = checkpoint;
       if (!h.is_null()) job->history.push_back(h);
     });
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "analysis/histogram.hpp"
@@ -119,4 +120,10 @@ TEST(Report, CsvWriter) {
   std::getline(is, line);
   EXPECT_EQ(line, "1,2");
   std::remove(path.c_str());
+}
+
+TEST(Report, CsvWriterReportsAFailedFinalFlush) {
+  // A one-row CSV sits in the stream's buffer until close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(ma::write_csv("/dev/full", {"a", "b"}, {{1.0, 2.0}}), maps::MapsError);
 }

@@ -139,6 +139,29 @@ TEST(Devices, DeviceGradientMatchesFiniteDifference) {
   }
 }
 
+TEST(Devices, GradientEvaluationsBypassTheDeviceCache) {
+  // An optimizer step never revisits its eps, so gradient evaluations do
+  // not park factorizations in the cache; forward evaluate() still reuses.
+  const auto dev = md::make_device(md::DeviceKind::Bend);
+  const auto eps = dev.blank_eps();
+  const auto g1 = dev.evaluate_with_gradient(eps);
+  const auto g2 = dev.evaluate_with_gradient(eps);
+  EXPECT_EQ(g1.fom, g2.fom);
+  EXPECT_EQ(g2.factorizations, 1);
+  auto stats = dev.solver_cache->stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(dev.solver_cache->factor_bytes(), 0u);
+
+  const auto e1 = dev.evaluate(eps);
+  const auto e2 = dev.evaluate(eps);
+  EXPECT_EQ(e1.fom, e2.fom);
+  EXPECT_EQ(e1.fom, g1.fom);
+  stats = dev.solver_cache->stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
 TEST(Devices, DefaultPipelineRespectsSymmetry) {
   const auto dev = md::make_device(md::DeviceKind::Crossing);
   auto pipe = md::make_default_pipeline(dev, md::DeviceKind::Crossing);

@@ -47,6 +47,18 @@ TEST(Robust, ShortRunImprovesRobustFom) {
   ASSERT_EQ(res.corners.size(), 3u);
 }
 
+TEST(Robust, TotalsCountTheClosingCornerPass) {
+  // Three corners per iteration, each one operator on the bend, plus the
+  // closing corner report: 3 * 3 + 3 factorizations.
+  const auto dev = md::make_device(md::DeviceKind::Bend);
+  mi::RobustOptions opt;
+  opt.base.iterations = 3;
+  mi::RobustInverseDesigner designer(dev, md::DeviceKind::Bend, opt);
+  const auto res = designer.run(mi::make_initial_theta(dev, mi::InitKind::PathSeed));
+  EXPECT_EQ(res.total_factorizations, 12);
+  EXPECT_EQ(res.total_solves, 24);  // a forward and an adjoint solve each
+}
+
 TEST(Robust, WorstCaseWeightingRuns) {
   const auto dev = md::make_device(md::DeviceKind::Bend);
   mi::RobustOptions opt;

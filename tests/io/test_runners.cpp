@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -173,6 +174,22 @@ TEST(Runners, DensityCsvShape) {
   ASSERT_TRUE(std::getline(in, l2));
   EXPECT_EQ(l1, "0.5,0.5,0.5");
   EXPECT_EQ(l2, "0.5,0.5,1");
+}
+
+TEST(Runners, DensityCsvReportsAFailedFinalFlush) {
+  // A 2x2 density sits in the stream's buffer until close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(mio::write_density_csv(maps::math::RealGrid(2, 2, 0.5), "/dev/full"),
+               maps::MapsError);
+}
+
+TEST(Runners, InvdesHistoryReportsAFailedFinalFlush) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::ostringstream log;
+  mio::InvDesConfig inv;
+  inv.options.iterations = 1;
+  inv.history_out = "/dev/full";
+  EXPECT_THROW(mio::run_invdes(inv, log), maps::MapsError);
 }
 
 TEST(Runners, DatagenReportsThroughput) {

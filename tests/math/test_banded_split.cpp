@@ -11,6 +11,7 @@
 
 #include "math/banded.hpp"
 #include "math/banded_split.hpp"
+#include "math/recycle.hpp"
 #include "math/rng.hpp"
 
 namespace mm = maps::math;
@@ -122,6 +123,55 @@ TEST(SymBandLdlt, BatchIsBitIdenticalToOneAtATime) {
       ASSERT_EQ(batch[k][t], singles[k][t]) << "rhs " << k << " entry " << t;
     }
   }
+}
+
+TEST(SymBandLdlt, RecycledPlanesGiveBitIdenticalFactorsAndSolves) {
+  // 2048 x 17 doubles per plane: above the recycler's floor, so planes of a
+  // destroyed band go back to the free list and the next band of the same
+  // shape gets them, dirty, before assembling into them.
+  constexpr index_t n = 2048, kl = 16;
+  static_assert(n * (kl + 1) * sizeof(double) >= mm::kRecycleMinBytes);
+  const auto build = [&](unsigned seed, cplx shift) {
+    mm::SymBandLdlt s(n, kl);
+    mm::Rng rng(seed);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = j; i <= std::min(n - 1, j + kl); ++i) {
+        cplx v{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        s.set(i, j, i == j ? v + shift : v);
+      }
+    }
+    s.factorize();
+    return s;
+  };
+  const auto band = [&](const mm::SymBandLdlt& s) {
+    std::vector<cplx> out;
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = j; i <= std::min(n - 1, j + kl); ++i) out.push_back(s.get(i, j));
+    }
+    return out;
+  };
+  const auto solve = [&](const mm::SymBandLdlt& s) {
+    std::vector<std::vector<cplx>> bs{random_rhs(n, 41), random_rhs(n, 42)};
+    s.solve_multi_inplace(bs);
+    return bs;
+  };
+
+  std::vector<cplx> factors;
+  std::vector<std::vector<cplx>> solution;
+  {
+    const auto first = build(5, cplx{6.0, 2.0});
+    factors = band(first);
+    solution = solve(first);
+  }
+  {
+    const auto other = build(77, cplx{9.0, -3.0});  // dirties the recycled planes
+    ASSERT_NE(band(other), factors);
+  }
+  const auto before = mm::recycle_stats();
+  const auto again = build(5, cplx{6.0, 2.0});
+  EXPECT_EQ(mm::recycle_stats().hits - before.hits, 2u);  // both planes recycled
+  EXPECT_EQ(band(again), factors);
+  EXPECT_EQ(solve(again), solution);
 }
 
 TEST(SymBandLdlt, FloatFactorsAgreeToSinglePrecision) {

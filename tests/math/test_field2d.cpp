@@ -28,6 +28,14 @@ TEST(Field2d, SizeMismatchThrows) {
   EXPECT_THROW(mm::RealGrid(2, 2, std::vector<double>{1, 2, 3}), maps::MapsError);
 }
 
+TEST(Field2d, NegativeDimensionsThrowBeforeSizing) {
+  // A negative dimension is rejected before the vector is sized (not as
+  // std::length_error), and two negatives whose product matches the data
+  // size are rejected too.
+  EXPECT_THROW(mm::RealGrid(-3, 2), maps::MapsError);
+  EXPECT_THROW(mm::RealGrid(-2, -3, std::vector<double>(6)), maps::MapsError);
+}
+
 TEST(Field2d, MapTransformsElementwise) {
   mm::RealGrid g(2, 2, std::vector<double>{1, 2, 3, 4});
   auto sq = g.map([](double v) { return v * v; });

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "math/rng.hpp"
@@ -83,6 +84,18 @@ TEST(Serialize, MissingFileThrows) {
   cfg.depth = 1;
   auto m = mn::make_model(cfg);
   EXPECT_THROW(mn::load_parameters(*m, "/nonexistent/path/model.bin"), maps::MapsError);
+}
+
+TEST(Serialize, SaveReportsAFailedFinalFlush) {
+  // A small checkpoint sits in the stream's buffer until close: a save that
+  // checked the stream before that returned normally on a full disk.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  mn::ModelConfig cfg;
+  cfg.width = 4;
+  cfg.modes = 3;
+  cfg.depth = 1;
+  auto m = mn::make_model(cfg);
+  EXPECT_THROW(mn::save_parameters(*m, "/dev/full"), maps::MapsError);
 }
 
 TEST(Serialize, MetadataTrailerRoundTrips) {

@@ -491,6 +491,54 @@ bool resume_skips_or_adopts(runtime::TaskQueue& queue, const std::string& dir,
 
 }  // namespace
 
+TEST(Jobs, ResumeStopsAtAJournalLineMissingAField) {
+  FaultGuard guard("");
+  const std::string dir = scratch_dir("missing_field");
+
+  // Park a job while journal writes fail, so its journal keeps one line
+  // per completed step (as in the corpus test below).
+  std::string id;
+  {
+    runtime::TaskQueue queue(2);
+    serve::JobsOptions options;
+    options.journal_dir = dir;
+    std::ostringstream log;
+    serve::JobManager jobs(queue, options, &log);
+    id = jobs.submit(invdes_spec(40));
+    wait_step(jobs, id, 3);
+    fault::arm_from_spec("jobs.journal=io");
+    jobs.drain();
+  }
+  fault::disarm_all();
+
+  // Append a copy of the last line that claims step 39 but lacks `solves`:
+  // it parses, yet it is not a complete step.
+  const std::string path = dir + "/" + id + ".journal";
+  const std::string journal = read_all(path);
+  ASSERT_GE(journal.size(), 2u);
+  const std::size_t cut = journal.rfind('\n', journal.size() - 2);
+  io::JsonValue line =
+      io::json_parse(journal.substr(cut == std::string::npos ? 0 : cut + 1));
+  const int last_step = static_cast<int>(line.at("step").as_int());
+  ASSERT_LT(last_step, 39);
+  line["step"] = 39;
+  line.as_object().erase("solves");
+  std::ofstream(path, std::ios::binary | std::ios::app) << line.dump() << '\n';
+
+  runtime::TaskQueue queue(1);
+  serve::JobsOptions options;
+  options.journal_dir = dir;
+  std::ostringstream log;
+  serve::JobManager jobs(queue, options, &log);
+  jobs.drain();  // adopt the job without running it
+  EXPECT_EQ(jobs.resume_journaled(), 1);
+  EXPECT_EQ(jobs.status(id).at("step").as_int(), last_step);
+  const io::JsonValue manifest = io::json_load(dir + "/" + id + ".json");
+  EXPECT_EQ(manifest.at("step").as_int(), last_step);
+  EXPECT_EQ(manifest.at("step").as_int(), manifest.at("checkpoint").at("step").as_int());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Jobs, MutatedManifestsAndJournalsAreSkippedOrAdopted) {
   FaultGuard guard("");
   const std::string dir = scratch_dir("corpus");

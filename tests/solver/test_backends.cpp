@@ -9,6 +9,7 @@
 
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
+#include "math/recycle.hpp"
 #include "math/rng.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/fault.hpp"
@@ -349,6 +350,24 @@ TEST(DirectBandedBackend, BatchMatchesSingleSolves) {
     EXPECT_LT(rel_l2(xs[k], backend.solve(batch[k])), 1e-13);
     EXPECT_LT(rel_l2(ts[k], backend.solve_transposed(batch[k])), 1e-13);
   }
+}
+
+TEST(DirectBandedBackend, RepeatedSolvesOfOneShapeReuseRecycledBands) {
+  // After one warm-up cycle, every band plane of a same-shape assemble,
+  // factorize and solve comes back from the block recycler: no solve
+  // faults in a fresh band.
+  WaveguideRig rig;
+  const auto cycle = [&] {
+    ms::DirectBandedBackend backend(rig.spec, rig.eps, rig.omega, rig.pml);
+    (void)backend.solve(rig.rhs);
+  };
+  cycle();
+  constexpr int kCycles = 50;
+  const auto before = mm::recycle_stats();
+  for (int c = 0; c < kCycles; ++c) cycle();
+  const auto after = mm::recycle_stats();
+  EXPECT_EQ(after.misses - before.misses, 0u);
+  EXPECT_EQ(after.hits - before.hits, 2u * kCycles);  // re and im plane per band
 }
 
 TEST(DirectBandedBackend, FactorizeHistogramCountsOnlyRealFactorizations) {

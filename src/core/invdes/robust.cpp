@@ -16,17 +16,19 @@ RobustInverseDesigner::RobustInverseDesigner(const devices::DeviceProblem& devic
                                              RobustOptions options)
     : device_(device), kind_(kind), options_(std::move(options)) {}
 
-param::DesignPipeline RobustInverseDesigner::make_corner_pipeline(
-    LithoCorner corner) const {
-  auto p = std::make_unique<param::DirectDensity>(device_.design_map.box.ni,
-                                                  device_.design_map.box.nj);
-  param::DesignPipeline pipe(std::move(p), device_.design_map);
+param::DesignPipeline make_corner_pipeline(const devices::DeviceProblem& device,
+                                           devices::DeviceKind kind,
+                                           const param::LithoSpec& litho,
+                                           LithoCorner corner) {
+  auto p = std::make_unique<param::DirectDensity>(device.design_map.box.ni,
+                                                  device.design_map.box.nj);
+  param::DesignPipeline pipe(std::move(p), device.design_map);
   pipe.add_transform(std::make_unique<param::BlurFilter>(1.5));
   param::SymmetryKind sym;
-  if (devices::device_symmetry(kind_, &sym)) {
+  if (devices::device_symmetry(kind, &sym)) {
     pipe.add_transform(std::make_unique<param::Symmetrize>(sym));
   }
-  pipe.add_transform(std::make_unique<param::LithoModel>(options_.litho, corner));
+  pipe.add_transform(std::make_unique<param::LithoModel>(litho, corner));
   return pipe;
 }
 
@@ -34,7 +36,8 @@ std::vector<CornerReport> RobustInverseDesigner::evaluate_corners(
     const std::vector<double>& theta, GradientProvider& provider) {
   std::vector<CornerReport> reports;
   for (LithoCorner corner : param::LithoModel::corners()) {
-    param::DesignPipeline pipe = make_corner_pipeline(corner);
+    param::DesignPipeline pipe =
+        make_corner_pipeline(device_, kind_, options_.litho, corner);
     const RealGrid eps = pipe.eps_of(theta);
     GradEval ge = provider.evaluate(eps);
     reports.push_back({corner, ge.fom, ge.transmissions, ge.factorizations, ge.solves});
@@ -47,7 +50,9 @@ RobustResult RobustInverseDesigner::run(std::vector<double> theta0,
   const auto corners = param::LithoModel::corners();
   std::vector<param::DesignPipeline> pipes;
   pipes.reserve(corners.size());
-  for (LithoCorner c : corners) pipes.push_back(make_corner_pipeline(c));
+  for (LithoCorner c : corners) {
+    pipes.push_back(make_corner_pipeline(device_, kind_, options_.litho, c));
+  }
 
   maps::require(static_cast<int>(theta0.size()) == pipes[0].num_params(),
                 "RobustInverseDesigner: theta0 size mismatch");

@@ -39,6 +39,14 @@ struct RobustResult {
   int total_solves = 0;
 };
 
+/// The design pipeline of one lithography corner: direct density -> blur ->
+/// (the device's symmetry) -> `litho` pattern transfer at `corner`. Robust
+/// inverse design and the served corners sweep both evaluate through it.
+param::DesignPipeline make_corner_pipeline(const devices::DeviceProblem& device,
+                                           devices::DeviceKind kind,
+                                           const param::LithoSpec& litho,
+                                           param::LithoCorner corner);
+
 class RobustInverseDesigner {
  public:
   RobustInverseDesigner(const devices::DeviceProblem& device, devices::DeviceKind kind,
@@ -52,8 +60,6 @@ class RobustInverseDesigner {
                                              GradientProvider& provider);
 
  private:
-  param::DesignPipeline make_corner_pipeline(param::LithoCorner corner) const;
-
   const devices::DeviceProblem& device_;
   devices::DeviceKind kind_;
   RobustOptions options_;

@@ -4,10 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <initializer_list>
 #include <memory>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include <iostream>
@@ -86,24 +84,6 @@ void probe_writable(const std::string& path) {
   if (!existed) std::remove(path.c_str());
 }
 
-/// Aggregate hit/miss counters of the (deduplicated) device caches. The
-/// device cache serves only forward-only evaluate() calls: datagen's
-/// per-pattern tasks (every pattern is a fresh operator) and trajectory
-/// sampling's gradient steps (every step moves the design) both bypass it.
-solver::CacheStats device_cache_stats(
-    std::initializer_list<const devices::DeviceProblem*> devs) {
-  solver::CacheStats total;
-  std::set<const solver::FactorizationCache*> seen;
-  for (const auto* dev : devs) {
-    const auto* cache = dev == nullptr ? nullptr : dev->solver_cache.get();
-    if (cache == nullptr || !seen.insert(cache).second) continue;
-    const auto s = cache->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-  }
-  return total;
-}
-
 }  // namespace
 
 JsonValue run_datagen(const DataGenConfig& config, std::ostream& log) {
@@ -125,9 +105,6 @@ JsonValue run_datagen(const DataGenConfig& config, std::ostream& log) {
     obs::log_to(&log, obs::LogLevel::Info, "datagen", msg.str());
   }
 
-  // Job-wide cache accounting: snapshot before pattern sampling, not
-  // around the generation pipeline only.
-  const auto cache_before = device_cache_stats({&device});
   const auto patterns = data::sample_patterns(device, config.device, config.sampler);
   obs::log_to(&log, obs::LogLevel::Info, "datagen",
               "sampled " + std::to_string(patterns.densities.size()) +
@@ -202,15 +179,11 @@ JsonValue run_datagen(const DataGenConfig& config, std::ostream& log) {
     report["shard"] = shard;
   }
 
-  const auto cache_after = device_cache_stats({&device, &device_hi});
-  stats.cache_hits = cache_after.hits - cache_before.hits;
-  stats.cache_misses = cache_after.misses - cache_before.misses;
   report["throughput"] = stats.to_json();
   {
     std::ostringstream msg;
     msg << "throughput: " << stats.patterns_per_s() << " patterns/s, "
-        << stats.solves_per_s() << " solves/s, cache hit-rate "
-        << stats.cache_hit_rate();
+        << stats.solves_per_s() << " solves/s";
     obs::log_to(&log, obs::LogLevel::Info, "datagen", msg.str());
   }
   report["config"] = config.to_json();

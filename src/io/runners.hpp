@@ -13,7 +13,7 @@ namespace maps::io {
 
 /// Generate a dataset per config, save it to config.output, return a
 /// summary (sample count, transmission stats, per-strategy metadata, and a
-/// "throughput" block with patterns/s, solves/s and cache hit-rate).
+/// "throughput" block with patterns/s, solves/s and solver work counts).
 /// Sharded configs (shard_count > 1, or resume) write the shard's .part
 /// file + manifest through the runtime pipeline; once every shard's
 /// manifest reports done, the full dataset is merged to config.output.

@@ -150,14 +150,6 @@ void Registry::visit_histograms(
   for (const auto& [name, h] : im.histograms) fn(name, *h);
 }
 
-void Registry::reset_for_test() {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  im.counters.clear();
-  im.gauges.clear();
-  im.histograms.clear();
-}
-
 std::string prometheus_name(std::string_view name) {
   std::string out = "maps_";
   out.reserve(out.size() + name.size());

@@ -1,5 +1,6 @@
 // Process-wide metrics registry: named counters, gauges and log-scale
-// latency histograms, built for instrumentation of the serve hot path.
+// latency histograms, built for instrumentation of the serve hot path; and
+// CounterTable, the per-instance counters serve and jobs keep.
 //
 // Discipline (same as runtime/fault.hpp): instrumentation is always
 // compiled in, and when disabled costs one relaxed atomic load per site —
@@ -23,7 +24,9 @@
 // linearly inside the bucket that crosses the target rank.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -44,6 +47,32 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
+};
+
+/// Loaded values of a CounterTable, read by enum.
+template <typename E>
+struct Counts {
+  std::array<std::uint64_t, static_cast<std::size_t>(E::Count)> values{};
+
+  std::uint64_t operator[](E c) const { return values[static_cast<std::size_t>(c)]; }
+  std::uint64_t& operator[](E c) { return values[static_cast<std::size_t>(c)]; }
+};
+
+/// Per-instance monotone counters indexed by an enum that ends in `Count`
+/// (serve's ServeCounter, JobsCounter): one atomic add per event. Unlike
+/// registry counters they live in their owner, so two services in one
+/// process keep separate counts.
+template <typename E>
+class CounterTable {
+ public:
+  void add(E c, std::uint64_t n = 1) { cells_[static_cast<std::size_t>(c)].fetch_add(n); }
+  std::uint64_t load(E c) const { return cells_[static_cast<std::size_t>(c)].load(); }
+  void read(Counts<E>& out) const {
+    for (std::size_t i = 0; i < cells_.size(); ++i) out.values[i] = cells_[i].load();
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(E::Count)> cells_{};
 };
 
 /// Last-write-wins instantaneous value (queue depth, breaker state, ...).
@@ -111,9 +140,6 @@ class Registry {
   /// counters as `maps_<name>_total`, gauges as `maps_<name>`, histograms
   /// as `_bucket{le=...}/_sum/_count` plus `_p50/_p90/_p99` gauge lines.
   std::string render_prometheus() const;
-
-  /// Drop every registered metric (tests only — invalidates cached refs).
-  void reset_for_test();
 
  private:
   struct Impl;

@@ -13,7 +13,6 @@
 
 #include "obs/log.hpp"
 #include "runtime/task_queue.hpp"
-#include "solver/cache.hpp"
 #include "solver/direct.hpp"
 
 namespace maps::runtime {
@@ -39,20 +38,6 @@ void validate_phases(const std::vector<DatagenPhase>& phases) {
     maps::require(ph.patterns->densities.size() == ph.patterns->ids.size(),
                   "datagen: pattern/ids mismatch");
   }
-}
-
-/// Aggregate (deduplicated) device-cache counters across phases.
-solver::CacheStats cache_snapshot(const std::vector<DatagenPhase>& phases) {
-  solver::CacheStats total;
-  std::set<const solver::FactorizationCache*> seen;
-  for (const auto& ph : phases) {
-    const auto* cache = ph.device->solver_cache.get();
-    if (cache == nullptr || !seen.insert(cache).second) continue;
-    const auto s = cache->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-  }
-  return total;
 }
 
 /// Factor-memory clamp of the in-flight window (see
@@ -94,7 +79,6 @@ void run_pipeline(
     solver::SolverStats work;
   };
   const auto t_start = Clock::now();
-  const auto cache_before = cache_snapshot(phases);
 
   TaskQueue queue(opts.workers);
   const std::size_t window = window_size(phases, opts, queue.worker_count());
@@ -143,9 +127,6 @@ void run_pipeline(
   }
 
   stats.seconds = seconds_between(t_start, Clock::now());
-  const auto cache_after = cache_snapshot(phases);
-  stats.cache_hits = cache_after.hits - cache_before.hits;
-  stats.cache_misses = cache_after.misses - cache_before.misses;
 }
 
 }  // namespace
@@ -162,11 +143,6 @@ io::JsonValue DatagenStats::to_json() const {
   v["seconds"] = seconds;
   v["patterns_per_s"] = patterns_per_s();
   v["solves_per_s"] = solves_per_s();
-  io::JsonValue cache;
-  cache["hits"] = static_cast<double>(cache_hits);
-  cache["misses"] = static_cast<double>(cache_misses);
-  cache["hit_rate"] = cache_hit_rate();
-  v["cache"] = cache;
   return v;
 }
 

@@ -72,14 +72,9 @@ struct DatagenStats {
   int refine_iterations = 0;
   int refine_fallbacks = 0;
   double seconds = 0.0;
-  std::size_t cache_hits = 0, cache_misses = 0;  // device factorization cache
 
   double patterns_per_s() const { return seconds > 0 ? patterns / seconds : 0.0; }
   double solves_per_s() const { return seconds > 0 ? solves / seconds : 0.0; }
-  double cache_hit_rate() const {
-    const std::size_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
-  }
   io::JsonValue to_json() const;
 };
 

@@ -15,15 +15,14 @@
 
 #include "core/invdes/engine.hpp"
 #include "core/invdes/init.hpp"
+#include "core/invdes/robust.hpp"
 #include "devices/builders.hpp"
 #include "devices/sparams.hpp"
 #include "io/config.hpp"
-#include "param/blur.hpp"
 #include "param/litho.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "param/symmetry.hpp"
 #include "runtime/deadline.hpp"
 #include "runtime/durable.hpp"
 #include "runtime/fault.hpp"
@@ -259,20 +258,10 @@ class SweepJobEngine final : public JobEngine {
 
  private:
   void run_corner() {
-    // The litho-corner pipeline of robust inverse design (core/invdes/
-    // robust.cpp): blur -> (symmetry) -> defocus/dose pattern transfer.
     const param::LithoCorner corner = param::LithoModel::corners()[
         static_cast<std::size_t>(next_)];
-    auto direct = std::make_unique<param::DirectDensity>(
-        device_.design_map.box.ni, device_.design_map.box.nj);
-    param::DesignPipeline pipe(std::move(direct), device_.design_map);
-    pipe.add_transform(std::make_unique<param::BlurFilter>(1.5));
-    param::SymmetryKind sym;
-    if (devices::device_symmetry(config_.device, &sym)) {
-      pipe.add_transform(std::make_unique<param::Symmetrize>(sym));
-    }
-    pipe.add_transform(
-        std::make_unique<param::LithoModel>(param::LithoSpec{}, corner));
+    param::DesignPipeline pipe = invdes::make_corner_pipeline(
+        device_, config_.device, param::LithoSpec{}, corner);
     const devices::DeviceEval eval = device_.evaluate(pipe.eps_of(theta_));
 
     io::JsonValue item;
@@ -515,7 +504,7 @@ bool JobManager::persist(const char* what, const std::function<void(int*)>& writ
     warn(std::string(what) + " failed: " + e.what());
     ok = false;
   }
-  journal_retries_.fetch_add(static_cast<std::uint64_t>(retries));
+  counters_.add(JobsCounter::JournalRetries, static_cast<std::uint64_t>(retries));
   return ok;
 }
 
@@ -547,7 +536,7 @@ std::string JobManager::submit(const io::JsonValue& spec) {
   const SpecInfo info = inspect_spec(spec);
   std::lock_guard<std::mutex> lk(mu_);
   if (draining_) {
-    shed_.fetch_add(1);
+    counters_.add(JobsCounter::Shed);
     throw OverloadedError("jobs: server is draining", 1000.0);
   }
   // max_queued bounds jobs waiting *beyond* the running slots: a submit that
@@ -555,7 +544,7 @@ std::string JobManager::submit(const io::JsonValue& spec) {
   const bool starts_now = running_ < options_.max_running;
   if (!starts_now &&
       static_cast<int>(pending_.size()) >= options_.max_queued) {
-    shed_.fetch_add(1);
+    counters_.add(JobsCounter::Shed);
     throw OverloadedError(
         "jobs: queue full (" + std::to_string(pending_.size()) + " queued)",
         1000.0);
@@ -571,7 +560,7 @@ std::string JobManager::submit(const io::JsonValue& spec) {
   job->total_steps = info.total_steps;
   jobs_[job->id] = job;
   pending_.push_back(job);
-  submitted_.fetch_add(1);
+  counters_.add(JobsCounter::Submitted);
   save_manifest(job->id, manifest_json_locked(*job));
   schedule_locked();
   return job->id;
@@ -644,7 +633,7 @@ io::JsonValue JobManager::cancel(const std::string& id) {
       }
       job.state = JobState::Cancelled;
       job.cancel_requested = true;
-      cancelled_.fetch_add(1);
+      counters_.add(JobsCounter::Cancelled);
       compact(job.id, manifest_json_locked(job));
       break;
     }
@@ -669,14 +658,7 @@ void JobManager::drain() {
 
 JobsStatsSnapshot JobManager::stats() const {
   JobsStatsSnapshot s;
-  s.submitted = submitted_.load();
-  s.completed = completed_.load();
-  s.failed = failed_.load();
-  s.cancelled = cancelled_.load();
-  s.resumed = resumed_.load();
-  s.shed = shed_.load();
-  s.steps = steps_.load();
-  s.journal_retries = journal_retries_.load();
+  counters_.read(s);
   std::lock_guard<std::mutex> lk(mu_);
   s.running = running_;
   s.queued = static_cast<int>(pending_.size());
@@ -710,9 +692,9 @@ void JobManager::finish_locked(const std::shared_ptr<Job>& job, JobState state,
   job->result_doc = std::move(result_doc);
   job->engine.reset();
   --running_;
-  if (state == JobState::Done) completed_.fetch_add(1);
-  if (state == JobState::Failed) failed_.fetch_add(1);
-  if (state == JobState::Cancelled) cancelled_.fetch_add(1);
+  if (state == JobState::Done) counters_.add(JobsCounter::Completed);
+  if (state == JobState::Failed) counters_.add(JobsCounter::Failed);
+  if (state == JobState::Cancelled) counters_.add(JobsCounter::Cancelled);
   compact(job->id, manifest_json_locked(*job));
   schedule_locked();
 }
@@ -767,7 +749,7 @@ void JobManager::run_step(const std::shared_ptr<Job>& job) {
       finish_locked(job, JobState::Failed, e.what(), io::JsonValue());
       return;
     }
-    steps_.fetch_add(1);
+    counters_.add(JobsCounter::Steps);
 
     std::lock_guard<std::mutex> lk(mu_);
     job->step = job->engine->step_index();
@@ -879,7 +861,7 @@ int JobManager::resume_journaled() {
     jobs_[job->id] = job;
     if (job->state == JobState::Queued) {
       job->resumed = true;
-      resumed_.fetch_add(1);
+      counters_.add(JobsCounter::Resumed);
       pending_.push_back(job);
       ++requeued;
     }

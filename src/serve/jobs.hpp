@@ -48,6 +48,7 @@
 #include <string>
 
 #include "io/json.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/task_queue.hpp"
 
 namespace maps::serve {
@@ -80,17 +81,30 @@ struct JobsOptions {
   std::string journal_dir;
 };
 
-/// Monotone job counters (snapshot) plus the current queue occupancy; the
+/// The job manager's monotone counters, one atomic add per event. Each name
+/// in kJobsCounterNames is the counter's key in the "jobs" block of
+/// /v1/stats; its /v1/metrics family is maps_jobs_<name>_total.
+enum class JobsCounter : std::size_t {
+  Submitted,
+  Completed,       // reached Done
+  Failed,
+  Cancelled,
+  Resumed,         // re-adopted from journals at startup
+  Shed,            // submits rejected by admission control
+  Steps,           // optimization / sweep steps executed
+  JournalRetries,  // transient journal-I/O retries
+  Count
+};
+
+inline constexpr const char* kJobsCounterNames[] = {
+    "submitted", "completed", "failed", "cancelled",
+    "resumed",   "shed",      "steps",  "journal_retries"};
+static_assert(std::size(kJobsCounterNames) ==
+              static_cast<std::size_t>(JobsCounter::Count));
+
+/// The counters (read by JobsCounter) plus the current queue occupancy; the
 /// "jobs" block of the ServeStats wire JSON.
-struct JobsStatsSnapshot {
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;   // reached Done
-  std::uint64_t failed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t resumed = 0;     // re-adopted from journals at startup
-  std::uint64_t shed = 0;        // submits rejected by admission control
-  std::uint64_t steps = 0;       // optimization / sweep steps executed
-  std::uint64_t journal_retries = 0;  // transient journal-I/O retries
+struct JobsStatsSnapshot : obs::Counts<JobsCounter> {
   int running = 0;
   int queued = 0;
 };
@@ -149,8 +163,9 @@ class JobManager {
   io::JsonValue manifest_json_locked(const Job& job) const;
   io::JsonValue status_locked(const Job& job) const;
   /// Run one durable write (runtime/durable.hpp), adding its retries to
-  /// journal_retries. Past the retries it warns and returns false: the job
-  /// keeps running in memory, so durability degrades, the work does not.
+  /// JobsCounter::JournalRetries. Past the retries it warns and returns
+  /// false: the job keeps running in memory, so durability degrades, the
+  /// work does not.
   bool persist(const char* what, const std::function<void(int*)>& write);
   /// False once the retries are spent (the older manifest stays in place).
   bool save_manifest(const std::string& id, const io::JsonValue& doc);
@@ -184,14 +199,7 @@ class JobManager {
   bool draining_ = false;
 
   std::atomic<int> inflight_{0};  // queued or executing step tasks
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> cancelled_{0};
-  std::atomic<std::uint64_t> resumed_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> journal_retries_{0};
+  obs::CounterTable<JobsCounter> counters_;
 };
 
 }  // namespace maps::serve

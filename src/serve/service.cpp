@@ -106,7 +106,7 @@ PredictionService::~PredictionService() {
 runtime::Future<ServeResponse> PredictionService::submit(ServeRequest request) {
   runtime::Promise<ServeResponse> promise;
   runtime::Future<ServeResponse> future = promise.future();
-  requests_.fetch_add(1);
+  counters_.add(ServeCounter::Requests);
   // Every submitted request holds one inflight slot until its terminal
   // finish() or fail() — admission control below counts this uniformly for
   // cache hits, surrogate jobs and solver jobs alike.
@@ -146,7 +146,7 @@ runtime::Future<ServeResponse> PredictionService::submit(ServeRequest request) {
       hit = cache_.get(key);
     }
     if (hit) {
-      cache_hits_.fetch_add(1);
+      counters_.add(ServeCounter::CacheHits);
       ServeResponse response;
       response.Ez = hit->Ez;
       // `source` reports the tier that produced the answer; cache_hit says
@@ -175,7 +175,7 @@ runtime::Future<ServeResponse> PredictionService::submit(ServeRequest request) {
 
     if (!surrogate) {
       // Explicit medium/high fidelity: dispatch a solver-backed job.
-      solver_requests_.fetch_add(1);
+      counters_.add(ServeCounter::SolverRequests);
       if (!breaker_->allow()) {
         // Solver tier is fenced off. Degrade to an un-verified surrogate
         // answer when a model is loaded; otherwise the caller gets the
@@ -220,7 +220,7 @@ runtime::Future<ServeResponse> PredictionService::submit(ServeRequest request) {
     leading = true;
     // Counted after the pending slot exists: a caller that observes the
     // count can rely on identical queries attaching.
-    surrogate_requests_.fetch_add(1);
+    counters_.add(ServeCounter::SurrogateRequests);
     // The promise is passed by copy (shared state), not moved: if
     // answer_surrogate throws before the task is queued, the catch below
     // still holds a live promise to carry the error to the caller.
@@ -257,7 +257,7 @@ void PredictionService::admit(const ServeRequest& request) {
 double PredictionService::backlog_estimate_ms() const {
   // Queue-theory-lite: (waiting ahead of you) / workers * average service
   // time.
-  const std::uint64_t done = completed_.load();
+  const std::uint64_t done = counters_.load(ServeCounter::Completed);
   double avg = kColdServiceMs;
   if (done > 0) {
     std::lock_guard lk(latency_mu_);
@@ -317,7 +317,7 @@ void PredictionService::answer_surrogate(
         // The forward failed (or a chaos fault fired before it). One retry
         // re-runs the same infer, so a transient failure stays invisible to
         // the caller.
-        surrogate_retries_.fetch_add(1);
+        counters_.add(ServeCounter::SurrogateRetries);
         try {
           output = model->model->infer(input);
           error = nullptr;
@@ -325,7 +325,7 @@ void PredictionService::answer_surrogate(
           // Surrogate tier is down for this request; fail over to the
           // solver when the breaker permits.
           if (breaker_->allow()) {
-            solver_failovers_.fetch_add(1);
+            counters_.add(ServeCounter::SolverFailovers);
             ServeResponse solved = solve_guarded(*request, deadline_abs_ms);
             solved.model_id = model->id;
             solved.model_version = model->version;
@@ -349,7 +349,7 @@ void PredictionService::answer_surrogate(
         // surrogate answer un-verified and say so. Not cached — a recovered
         // solver should re-answer the next identical query at full grade.
         response.degraded = true;
-        degraded_served_.fetch_add(1);
+        counters_.add(ServeCounter::DegradedServed);
         finish(promise, std::move(response), start_ms, &key, trace);
         return 0;
       }
@@ -373,12 +373,12 @@ void PredictionService::answer_surrogate(
       if (suspect) {
         // Running on a TaskQueue worker already: solve inline rather than
         // re-queueing (a worker must never wait on queued work).
-        escalations_.fetch_add(1);
+        counters_.add(ServeCounter::Escalations);
         if (!breaker_->allow()) {
           // Solver tier fenced off: the suspect surrogate answer beats no
           // answer. Degrade instead of escalating.
           response.degraded = true;
-          degraded_served_.fetch_add(1);
+          counters_.add(ServeCounter::DegradedServed);
           finish(promise, std::move(response), start_ms, &key, trace);
           return 0;
         }
@@ -396,7 +396,7 @@ void PredictionService::answer_surrogate(
           // Escalation solve broke (breaker recorded the failure inside
           // solve_guarded): degrade to the suspect surrogate answer.
           response.degraded = true;
-          degraded_served_.fetch_add(1);
+          counters_.add(ServeCounter::DegradedServed);
           finish(promise, std::move(response), start_ms, &key, trace);
         }
         return 0;
@@ -462,7 +462,7 @@ bool PredictionService::attach_pending(const QueryKey& key,
   auto it = pending_.find(key);
   if (it == pending_.end()) return false;
   it->second.push_back(Waiter{promise, start_ms, trace});
-  coalesced_.fetch_add(1);
+  counters_.add(ServeCounter::Coalesced);
   return true;
 }
 
@@ -488,7 +488,7 @@ std::vector<PredictionService::Waiter> PredictionService::take_waiters(
 }
 
 void PredictionService::record_completion(double latency_ms) {
-  completed_.fetch_add(1);
+  counters_.add(ServeCounter::Completed);
   std::lock_guard lk(latency_mu_);
   total_latency_ms_ += latency_ms;
   max_latency_ms_ = std::max(max_latency_ms_, latency_ms);
@@ -541,13 +541,13 @@ void PredictionService::fail(runtime::Promise<ServeResponse>& promise,
   try {
     std::rethrow_exception(error);
   } catch (const OverloadedError&) {
-    shed_.fetch_add(n);
+    counters_.add(ServeCounter::Shed, n);
     outcome = "overloaded";
   } catch (const runtime::DeadlineExceeded&) {
-    deadline_exceeded_.fetch_add(n);
+    counters_.add(ServeCounter::DeadlineExceeded, n);
     outcome = "deadline_exceeded";
   } catch (...) {
-    errors_.fetch_add(n);
+    counters_.add(ServeCounter::Errors, n);
   }
   const double now = runtime::now_steady_ms();
   for (Waiter& w : waiters) {
@@ -563,19 +563,7 @@ void PredictionService::fail(runtime::Promise<ServeResponse>& promise,
 
 ServeStatsSnapshot PredictionService::stats() const {
   ServeStatsSnapshot s;
-  s.requests = requests_.load();
-  s.cache_hits = cache_hits_.load();
-  s.surrogate_requests = surrogate_requests_.load();
-  s.solver_requests = solver_requests_.load();
-  s.escalations = escalations_.load();
-  s.errors = errors_.load();
-  s.shed = shed_.load();
-  s.deadline_exceeded = deadline_exceeded_.load();
-  s.degraded_served = degraded_served_.load();
-  s.surrogate_retries = surrogate_retries_.load();
-  s.solver_failovers = solver_failovers_.load();
-  s.coalesced = coalesced_.load();
-  s.completed = completed_.load();
+  counters_.read(s);
   s.breaker = breaker_->stats();
   s.solver_refine_iterations =
       static_cast<std::uint64_t>(solver_cache_->refinement_iteration_count());

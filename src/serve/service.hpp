@@ -157,22 +157,35 @@ struct ServeOptions {
   double slow_request_ms = -1.0;
 };
 
-/// Monotone service counters (snapshot).
-struct ServeStatsSnapshot {
-  std::uint64_t requests = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t surrogate_requests = 0;
-  std::uint64_t solver_requests = 0;     // explicit fidelity-high dispatches
-  std::uint64_t escalations = 0;         // confidence-screen failures
-  std::uint64_t errors = 0;
-  // Reliability counters.
-  std::uint64_t shed = 0;               // rejected by admission control
-  std::uint64_t deadline_exceeded = 0;  // failed their latency budget
-  std::uint64_t degraded_served = 0;    // un-verified surrogate fallbacks
-  std::uint64_t surrogate_retries = 0;  // forwards re-run after a failed first attempt
-  std::uint64_t solver_failovers = 0;   // surrogate failures answered by the solver
-  std::uint64_t coalesced = 0;          // attached to an identical in-flight query
-  std::uint64_t completed = 0;          // requests that produced an answer
+/// The service's monotone counters, one atomic add per event. Each name in
+/// kServeCounterNames is the counter's /v1/stats key; its /v1/metrics family
+/// is maps_serve_<name>_total.
+enum class ServeCounter : std::size_t {
+  Requests,
+  CacheHits,
+  SurrogateRequests,
+  SolverRequests,    // explicit fidelity-high dispatches
+  Escalations,       // confidence-screen failures
+  Errors,
+  Shed,              // rejected by admission control
+  DeadlineExceeded,  // failed their latency budget
+  DegradedServed,    // un-verified surrogate fallbacks
+  SurrogateRetries,  // forwards re-run after a failed first attempt
+  SolverFailovers,   // surrogate failures answered by the solver
+  Coalesced,         // attached to an identical in-flight query
+  Completed,         // requests that produced an answer
+  Count
+};
+
+inline constexpr const char* kServeCounterNames[] = {
+    "requests", "cache_hits", "surrogate_requests", "solver_requests", "escalations",
+    "errors", "shed", "deadline_exceeded", "degraded_served", "surrogate_retries",
+    "solver_failovers", "coalesced", "completed"};
+static_assert(std::size(kServeCounterNames) ==
+              static_cast<std::size_t>(ServeCounter::Count));
+
+/// The counters (read by ServeCounter) plus the values other parts keep.
+struct ServeStatsSnapshot : obs::Counts<ServeCounter> {
   BreakerStats breaker;                 // solver-tier circuit breaker
   // Mixed-precision accounting of the escalation solver tier (0 under
   // double precision): refinement steps taken and double-factorization
@@ -182,10 +195,6 @@ struct ServeStatsSnapshot {
   double total_latency_ms = 0.0;
   double max_latency_ms = 0.0;
   ResultCacheStats cache;
-
-  double avg_latency_ms() const {
-    return completed == 0 ? 0.0 : total_latency_ms / static_cast<double>(completed);
-  }
 };
 
 class PredictionService {
@@ -303,19 +312,7 @@ class PredictionService {
   obs::Histogram* hist_forward_ms_ = nullptr;
   double slow_request_ms_ = -1.0;
 
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> surrogate_requests_{0};
-  std::atomic<std::uint64_t> solver_requests_{0};
-  std::atomic<std::uint64_t> escalations_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> deadline_exceeded_{0};
-  std::atomic<std::uint64_t> degraded_served_{0};
-  std::atomic<std::uint64_t> surrogate_retries_{0};
-  std::atomic<std::uint64_t> solver_failovers_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> completed_{0};
+  obs::CounterTable<ServeCounter> counters_;
   std::atomic<std::uint64_t> inflight_{0};
   /// In-flight computations by query key; the mapped waiters are the
   /// attached requests fanned out to at the leader's terminal.

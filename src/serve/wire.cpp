@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "fdfd/source.hpp"
 #include "obs/metrics.hpp"
@@ -223,55 +225,69 @@ JsonValue encode_error(const JsonValue& id, const std::string& message) {
   return encode_error(id, WireError{"bad_request", message, 0.0});
 }
 
+namespace {
+
+/// One number both stats surfaces carry: its /v1/stats block ("" for the
+/// top level) and key, and its /v1/metrics family and type.
+struct StatRow {
+  const char* block;
+  std::string key, family;
+  bool counter;  // else a gauge
+  double value;
+};
+
+/// Every number of stats_to_json but breaker.state: the counter tables,
+/// whose families follow maps_<prefix>_<name>_total, then the values other
+/// components keep, each under its own family.
+std::vector<StatRow> stat_rows(const ServeStatsSnapshot& s,
+                               const JobsStatsSnapshot* jobs) {
+  std::vector<StatRow> rows;
+  const auto add = [&rows](const char* block, std::string key, std::string family,
+                           bool counter, double value) {
+    rows.push_back({block, std::move(key), std::move(family), counter, value});
+  };
+  const auto table = [&add](const char* block, const std::string& prefix,
+                            const auto& names, const auto& counts) {
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+      add(block, names[i], prefix + names[i] + "_total", true, counts.values[i]);
+    }
+  };
+  table("", "maps_serve_", kServeCounterNames, s);
+  add("", "cache_hit_rate", "maps_serve_cache_hit_ratio", false, s.cache.hit_rate());
+  add("", "cache_entries", "maps_serve_cache_entries", false, s.cache.entries);
+  add("", "cache_evictions", "maps_serve_cache_evictions_total", true, s.cache.evictions);
+  add("", "solver_refine_iterations", "maps_solver_refine_iterations_total", true,
+      s.solver_refine_iterations);
+  add("", "solver_refine_fallbacks", "maps_solver_refine_fallbacks_total", true,
+      s.solver_refine_fallbacks);
+  const double completed = static_cast<double>(s[ServeCounter::Completed]);
+  add("", "avg_latency_ms", "maps_serve_avg_latency_ms", false,
+      completed == 0 ? 0.0 : s.total_latency_ms / completed);
+  add("", "max_latency_ms", "maps_serve_max_latency_ms", false, s.max_latency_ms);
+  const BreakerStats& b = s.breaker;
+  add("breaker", "failures", "maps_serve_breaker_failures_total", true, b.failures);
+  add("breaker", "successes", "maps_serve_breaker_successes_total", true, b.successes);
+  add("breaker", "open_total", "maps_serve_breaker_open_total", true, b.open_total);
+  add("breaker", "rejected", "maps_serve_breaker_rejected_total", true, b.rejected);
+  add("breaker", "current_backoff_ms", "maps_serve_breaker_current_backoff_ms", false,
+      b.current_backoff_ms);
+  if (jobs != nullptr) {  // the jobs API is mounted
+    table("jobs", "maps_jobs_", kJobsCounterNames, *jobs);
+    add("jobs", "running", "maps_jobs_running", false, jobs->running);
+    add("jobs", "queued", "maps_jobs_queued", false, jobs->queued);
+  }
+  return rows;
+}
+
+}  // namespace
+
 JsonValue stats_to_json(const ServeStatsSnapshot& stats,
                         const JobsStatsSnapshot* jobs) {
   JsonValue v;
-  v["requests"] = static_cast<double>(stats.requests);
-  v["cache_hits"] = static_cast<double>(stats.cache_hits);
-  v["cache_hit_rate"] = stats.cache.hit_rate();
-  v["cache_entries"] = static_cast<double>(stats.cache.entries);
-  v["cache_evictions"] = static_cast<double>(stats.cache.evictions);
-  v["surrogate_requests"] = static_cast<double>(stats.surrogate_requests);
-  v["solver_requests"] = static_cast<double>(stats.solver_requests);
-  v["escalations"] = static_cast<double>(stats.escalations);
-  v["errors"] = static_cast<double>(stats.errors);
-  v["solver_refine_iterations"] =
-      static_cast<double>(stats.solver_refine_iterations);
-  v["solver_refine_fallbacks"] =
-      static_cast<double>(stats.solver_refine_fallbacks);
-  v["avg_latency_ms"] = stats.avg_latency_ms();
-  v["max_latency_ms"] = stats.max_latency_ms;
-  // Reliability counters.
-  v["completed"] = static_cast<double>(stats.completed);
-  v["shed"] = static_cast<double>(stats.shed);
-  v["deadline_exceeded"] = static_cast<double>(stats.deadline_exceeded);
-  v["degraded_served"] = static_cast<double>(stats.degraded_served);
-  v["surrogate_retries"] = static_cast<double>(stats.surrogate_retries);
-  v["solver_failovers"] = static_cast<double>(stats.solver_failovers);
-  v["coalesced"] = static_cast<double>(stats.coalesced);
-  JsonValue breaker;
-  breaker["state"] = breaker_state_name(stats.breaker.state);
-  breaker["failures"] = static_cast<double>(stats.breaker.failures);
-  breaker["successes"] = static_cast<double>(stats.breaker.successes);
-  breaker["open_total"] = static_cast<double>(stats.breaker.open_total);
-  breaker["rejected"] = static_cast<double>(stats.breaker.rejected);
-  breaker["current_backoff_ms"] = stats.breaker.current_backoff_ms;
-  v["breaker"] = breaker;
-  // Long-running jobs block, present only when the jobs API is mounted.
-  if (jobs != nullptr) {
-    JsonValue j;
-    j["submitted"] = static_cast<double>(jobs->submitted);
-    j["completed"] = static_cast<double>(jobs->completed);
-    j["failed"] = static_cast<double>(jobs->failed);
-    j["cancelled"] = static_cast<double>(jobs->cancelled);
-    j["resumed"] = static_cast<double>(jobs->resumed);
-    j["shed"] = static_cast<double>(jobs->shed);
-    j["steps"] = static_cast<double>(jobs->steps);
-    j["journal_retries"] = static_cast<double>(jobs->journal_retries);
-    j["running"] = jobs->running;
-    j["queued"] = jobs->queued;
-    v["jobs"] = j;
+  for (const StatRow& row : stat_rows(stats, jobs)) {
+    (*row.block == '\0' ? v : v[row.block])[row.key] = row.value;
   }
+  v["breaker"]["state"] = breaker_state_name(stats.breaker.state);
   // Per-fault-point chaos counters, present only when MAPS_FAULTS armed
   // anything (the block's absence is the "clean run" signal).
   if (runtime::fault::armed()) {
@@ -313,31 +329,17 @@ std::string metrics_text(const PredictionService& service,
   std::ostringstream os;
   os.precision(9);
   os << obs::registry().render_prometheus();
-  const auto counter = [&os](const char* name, std::uint64_t value) {
-    os << "# TYPE " << name << " counter\n" << name << " " << value << "\n";
-  };
-  const auto gauge = [&os](const char* name, double value) {
-    os << "# TYPE " << name << " gauge\n" << name << " " << value << "\n";
-  };
   const ServeStatsSnapshot s = service.stats();
-  counter("maps_serve_requests_total", s.requests);
-  counter("maps_serve_completed_total", s.completed);
-  counter("maps_serve_cache_hits_total", s.cache_hits);
-  counter("maps_serve_cache_evictions_total", s.cache.evictions);
-  counter("maps_serve_surrogate_requests_total", s.surrogate_requests);
-  counter("maps_serve_solver_requests_total", s.solver_requests);
-  counter("maps_serve_escalations_total", s.escalations);
-  counter("maps_serve_errors_total", s.errors);
-  counter("maps_serve_shed_total", s.shed);
-  counter("maps_serve_deadline_exceeded_total", s.deadline_exceeded);
-  counter("maps_serve_degraded_served_total", s.degraded_served);
-  counter("maps_serve_surrogate_retries_total", s.surrogate_retries);
-  counter("maps_serve_solver_failovers_total", s.solver_failovers);
-  counter("maps_serve_coalesced_total", s.coalesced);
-  counter("maps_solver_refine_iterations_total", s.solver_refine_iterations);
-  counter("maps_solver_refine_fallbacks_total", s.solver_refine_fallbacks);
-  gauge("maps_serve_cache_entries", static_cast<double>(s.cache.entries));
-  gauge("maps_serve_cache_hit_ratio", s.cache.hit_rate());
+  const JobsStatsSnapshot j = jobs != nullptr ? jobs->stats() : JobsStatsSnapshot{};
+  for (const StatRow& row : stat_rows(s, jobs != nullptr ? &j : nullptr)) {
+    os << "# TYPE " << row.family << (row.counter ? " counter\n" : " gauge\n")
+       << row.family << " ";
+    if (row.counter) {
+      os << static_cast<std::uint64_t>(row.value) << "\n";
+    } else {
+      os << row.value << "\n";
+    }
+  }
   // Per-shard hit ratio: a skewed key distribution shows up as one hot
   // shard long before the aggregate ratio moves.
   const auto shards = service.cache_shard_stats();
@@ -346,29 +348,12 @@ std::string metrics_text(const PredictionService& service,
     os << "maps_serve_cache_shard_hit_ratio{shard=\"" << i << "\"} "
        << shards[i].hit_rate() << "\n";
   }
-  // Breaker: one 0/1 sample per state (the standard enum exposition), plus
-  // its counters.
+  // Breaker: one 0/1 sample per state (the standard enum exposition).
   os << "# TYPE maps_serve_breaker_state gauge\n";
   for (const BreakerState state :
        {BreakerState::Closed, BreakerState::Open, BreakerState::HalfOpen}) {
     os << "maps_serve_breaker_state{state=\"" << breaker_state_name(state)
        << "\"} " << (s.breaker.state == state ? 1 : 0) << "\n";
-  }
-  counter("maps_serve_breaker_failures_total", s.breaker.failures);
-  counter("maps_serve_breaker_rejected_total", s.breaker.rejected);
-  counter("maps_serve_breaker_open_total", s.breaker.open_total);
-  if (jobs != nullptr) {
-    const JobsStatsSnapshot j = jobs->stats();
-    counter("maps_jobs_submitted_total", j.submitted);
-    counter("maps_jobs_completed_total", j.completed);
-    counter("maps_jobs_failed_total", j.failed);
-    counter("maps_jobs_cancelled_total", j.cancelled);
-    counter("maps_jobs_resumed_total", j.resumed);
-    counter("maps_jobs_shed_total", j.shed);
-    counter("maps_jobs_steps_total", j.steps);
-    counter("maps_jobs_journal_retries_total", j.journal_retries);
-    gauge("maps_jobs_running", static_cast<double>(j.running));
-    gauge("maps_jobs_queued", static_cast<double>(j.queued));
   }
   return os.str();
 }

@@ -104,11 +104,11 @@ io::JsonValue encode_error(const io::JsonValue& id, const std::string& message);
 /// encode_error(id, error).dump().
 std::string encode_error_text(const io::JsonValue& id, const WireError& error);
 
-/// The "serve_stats" report block (CLI exit report, tests). `jobs` — the
-/// job-manager counters when the jobs API is mounted — adds a "jobs"
-/// sub-block; null omits it. When metrics are enabled a "latency" block is
-/// appended: per-stage histogram readouts (count, sum_ms, p50/p90/p99)
-/// from the obs registry. Existing keys stay bit-compatible.
+/// The "serve_stats" report block (CLI exit report, /v1/stats, tests).
+/// `jobs` — the job-manager counters when the jobs API is mounted — adds a
+/// "jobs" sub-block; null omits it. When metrics are enabled a "latency"
+/// block is appended: per-stage histogram readouts (count, sum_ms,
+/// p50/p90/p99) from the obs registry. Existing keys stay bit-compatible.
 io::JsonValue stats_to_json(const ServeStatsSnapshot& stats,
                             const JobsStatsSnapshot* jobs = nullptr);
 
@@ -118,9 +118,9 @@ io::JsonValue latency_to_json();
 
 /// The GET /v1/metrics page: Prometheus text exposition (0.0.4) of the obs
 /// registry (per-stage latency histograms with buckets + p50/p90/p99)
-/// merged with every ServeStats counter, per-shard cache hit ratios,
-/// breaker state and — when the jobs API is mounted — the jobs counters.
-/// One scrape surface for the whole process.
+/// merged with one sample for every number of stats_to_json (both render
+/// one row list), per-shard cache hit ratios and the breaker state. One
+/// scrape surface for the whole process.
 std::string metrics_text(const PredictionService& service,
                          const JobManager* jobs = nullptr);
 

@@ -202,7 +202,6 @@ TEST(Runners, DatagenReportsThroughput) {
   EXPECT_EQ(tp.at("patterns").as_int(), 3);
   EXPECT_GT(tp.at("patterns_per_s").as_number(), 0.0);
   EXPECT_GT(tp.at("solves_per_s").as_number(), 0.0);
-  EXPECT_GE(tp.at("cache").at("hit_rate").as_number(), 0.0);
   EXPECT_NE(log.str().find("throughput"), std::string::npos);
 }
 

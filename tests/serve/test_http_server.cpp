@@ -487,10 +487,10 @@ TEST(HttpServe, ClientGoneMidReplyIsNotFatal) {
     }
     ASSERT_TRUE(client.send_raw(burst));
   }  // closed without reading a byte
-  for (int k = 0; k < 5000 && h.service.stats().completed < 5; ++k) {
+  for (int k = 0; k < 5000 && h.service.stats()[serve::ServeCounter::Completed] < 5; ++k) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(h.service.stats().completed, 5u);
+  EXPECT_EQ(h.service.stats()[serve::ServeCounter::Completed], 5u);
 
   // The server is still up: a new connection gets full service.
   HttpClient probe(h.port.load());
@@ -530,11 +530,11 @@ TEST(HttpServe, IdenticalConcurrentPredictsCoalesceToOneForward) {
   // two parse jobs cannot both become leader.
   ASSERT_TRUE(clients.front()->send_raw(wire));
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (h.service.stats().surrogate_requests == 0 &&
+  while (h.service.stats()[serve::ServeCounter::SurrogateRequests] == 0 &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(h.service.stats().surrogate_requests, 1u);
+  ASSERT_EQ(h.service.stats()[serve::ServeCounter::SurrogateRequests], 1u);
   for (int k = 1; k < kClients; ++k) ASSERT_TRUE(clients[k]->send_raw(wire));
   for (auto& client : clients) {
     HttpReply reply;
@@ -547,9 +547,9 @@ TEST(HttpServe, IdenticalConcurrentPredictsCoalesceToOneForward) {
 
   const auto stats = h.service.stats();
   // One leader ran the surrogate pipeline once; everyone else attached.
-  EXPECT_EQ(stats.surrogate_requests, 1u);
-  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kClients - 1));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(stats[serve::ServeCounter::SurrogateRequests], 1u);
+  EXPECT_EQ(stats[serve::ServeCounter::Coalesced], static_cast<std::uint64_t>(kClients - 1));
+  EXPECT_EQ(stats[serve::ServeCounter::Completed], static_cast<std::uint64_t>(kClients));
 }
 
 // --- admission control on the HTTP surface -----------------------------------
@@ -739,7 +739,7 @@ TEST(HttpServe, V1RoutesAnswerAndEveryOtherTargetIs404) {
   // The bare POST /predict never reached the service.
   client.close();
   h.shutdown();
-  EXPECT_EQ(h.service.stats().requests, 1u);
+  EXPECT_EQ(h.service.stats()[serve::ServeCounter::Requests], 1u);
 }
 
 // --- jobs over HTTP ----------------------------------------------------------

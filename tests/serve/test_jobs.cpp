@@ -129,9 +129,9 @@ TEST(Jobs, InvdesLifecycleSubmitPollResult) {
   EXPECT_EQ(all.at("jobs").as_array()[0].at("id").as_string(), id);
 
   const serve::JobsStatsSnapshot stats = jobs.stats();
-  EXPECT_EQ(stats.submitted, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.steps, 3u);
+  EXPECT_EQ(stats[serve::JobsCounter::Submitted], 1u);
+  EXPECT_EQ(stats[serve::JobsCounter::Completed], 1u);
+  EXPECT_EQ(stats[serve::JobsCounter::Steps], 3u);
   EXPECT_EQ(stats.running, 0);
   EXPECT_EQ(stats.queued, 0);
 }
@@ -199,7 +199,7 @@ TEST(Jobs, MalformedSpecsRejectedAtSubmit) {
   bad_field["iterations"] = -3;
   EXPECT_THROW(jobs.submit(bad_field), MapsError);
 
-  EXPECT_EQ(jobs.stats().submitted, 0u);
+  EXPECT_EQ(jobs.stats()[serve::JobsCounter::Submitted], 0u);
   EXPECT_THROW(jobs.status("job-000001"), serve::JobNotFound);
   EXPECT_THROW(jobs.result("nope"), serve::JobNotFound);
   EXPECT_THROW(jobs.cancel("nope"), serve::JobNotFound);
@@ -246,7 +246,7 @@ TEST(Jobs, CancelQueuedImmediatelyAndRunningAtStepBoundary) {
   EXPECT_EQ(result.at("error").at("code").as_string(), "job_cancelled");
   // Idempotent on terminal jobs.
   EXPECT_EQ(jobs.cancel(running).at("state").as_string(), "cancelled");
-  EXPECT_EQ(jobs.stats().cancelled, 2u);
+  EXPECT_EQ(jobs.stats()[serve::JobsCounter::Cancelled], 2u);
 }
 
 // --- admission control -------------------------------------------------------
@@ -262,11 +262,11 @@ TEST(Jobs, QueueFullAndDrainingShedWithOverloaded) {
   (void)jobs.submit(invdes_spec(30));  // takes the running slot
   (void)jobs.submit(invdes_spec(30));  // fills the queue
   EXPECT_THROW(jobs.submit(invdes_spec(30)), serve::OverloadedError);
-  EXPECT_EQ(jobs.stats().shed, 1u);
+  EXPECT_EQ(jobs.stats()[serve::JobsCounter::Shed], 1u);
 
   jobs.drain();
   EXPECT_THROW(jobs.submit(invdes_spec(2)), serve::OverloadedError);
-  EXPECT_EQ(jobs.stats().shed, 2u);
+  EXPECT_EQ(jobs.stats()[serve::JobsCounter::Shed], 2u);
 }
 
 // --- journal resume ----------------------------------------------------------
@@ -319,7 +319,7 @@ TEST(Jobs, ResumedJobMatchesUninterruptedObjective) {
     EXPECT_EQ(status.at("state").as_string(), "done");
     EXPECT_EQ(status.at("step").as_int(), kIterations);
     EXPECT_TRUE(status.at("resumed").as_bool());
-    EXPECT_EQ(jobs.stats().resumed, 1u);
+    EXPECT_EQ(jobs.stats()[serve::JobsCounter::Resumed], 1u);
     const io::JsonValue result = jobs.result(id);
     ASSERT_TRUE(result.at("ok").as_bool());
     EXPECT_DOUBLE_EQ(result.at("result").at("fom").as_number(),
@@ -426,7 +426,7 @@ TEST(Jobs, JournalIoFaultsDegradeDurabilityNotTheJob) {
   const io::JsonValue status = wait_terminal(jobs, id);
   EXPECT_EQ(status.at("state").as_string(), "done");
   EXPECT_TRUE(jobs.result(id).at("ok").as_bool());
-  EXPECT_GT(jobs.stats().journal_retries, 0u);
+  EXPECT_GT(jobs.stats()[serve::JobsCounter::JournalRetries], 0u);
   std::filesystem::remove_all(dir);
 }
 
@@ -443,7 +443,7 @@ TEST(Jobs, StepFaultFailsTheJobWithItsMessage) {
   EXPECT_EQ(result.at("error").at("code").as_string(), "job_failed");
   EXPECT_NE(result.at("error").at("message").as_string().find("injected"),
             std::string::npos);
-  EXPECT_EQ(jobs.stats().failed, 1u);
+  EXPECT_EQ(jobs.stats()[serve::JobsCounter::Failed], 1u);
 }
 
 // --- hostile journal files ---------------------------------------------------

@@ -153,7 +153,8 @@ TEST(Observability, CoalescedWaiterAdoptsLeaderSpans) {
     futures.push_back(service.submit(std::move(req)));
   }
   for (auto& f : futures) f.get();
-  ASSERT_EQ(service.stats().coalesced, static_cast<std::uint64_t>(kRacers - 1));
+  ASSERT_EQ(service.stats()[serve::ServeCounter::Coalesced],
+            static_cast<std::uint64_t>(kRacers - 1));
 
   // Every racer — leader and attached waiters alike — ends up with the one
   // real forward pass in its own trace (waiters adopt the leader's spans).

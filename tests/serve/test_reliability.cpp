@@ -109,8 +109,8 @@ TEST(Reliability, DeadlineExceededOnStalledForward) {
   auto future = service.submit(std::move(req));
   EXPECT_THROW(future.get(), maps::runtime::DeadlineExceeded);
   const auto stats = service.stats();
-  EXPECT_EQ(stats.deadline_exceeded, 1u);
-  EXPECT_EQ(stats.errors, 0u);  // a blown budget is not an internal error
+  EXPECT_EQ(stats[serve::ServeCounter::DeadlineExceeded], 1u);
+  EXPECT_EQ(stats[serve::ServeCounter::Errors], 0u);  // a blown budget is not an internal error
 }
 
 TEST(Reliability, GenerousDeadlinePasses) {
@@ -120,7 +120,7 @@ TEST(Reliability, GenerousDeadlinePasses) {
   req.deadline_ms = 60000.0;
   const auto response = service.predict(std::move(req));
   EXPECT_EQ(response.source, serve::ResponseSource::Surrogate);
-  EXPECT_EQ(service.stats().deadline_exceeded, 0u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::DeadlineExceeded], 0u);
 }
 
 TEST(Reliability, DeadlineCutsOffStalledSolver) {
@@ -131,7 +131,7 @@ TEST(Reliability, DeadlineCutsOffStalledSolver) {
   auto future = service.submit(std::move(req));
   EXPECT_THROW(future.get(), maps::runtime::DeadlineExceeded);
   const auto stats = service.stats();
-  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats[serve::ServeCounter::DeadlineExceeded], 1u);
   // One slow solve does not trip the breaker (threshold default 5).
   EXPECT_EQ(stats.breaker.state, serve::BreakerState::Closed);
 }
@@ -156,9 +156,9 @@ TEST(Reliability, AdmissionShedsOverInflightLimit) {
   // The under-limit request still completes normally.
   EXPECT_EQ(first.get().source, serve::ResponseSource::Surrogate);
   const auto stats = service.stats();
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.errors, 0u);  // shed is accounted separately
+  EXPECT_EQ(stats[serve::ServeCounter::Shed], 1u);
+  EXPECT_EQ(stats[serve::ServeCounter::Completed], 1u);
+  EXPECT_EQ(stats[serve::ServeCounter::Errors], 0u);  // shed is accounted separately
 }
 
 TEST(Reliability, CacheHitsBypassAdmission) {
@@ -171,7 +171,7 @@ TEST(Reliability, CacheHitsBypassAdmission) {
   EXPECT_EQ(service.predict(req).cache_hit, false);
   // Same pattern again: served from cache even at the inflight limit.
   EXPECT_TRUE(service.predict(req).cache_hit);
-  EXPECT_EQ(service.stats().shed, 0u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::Shed], 0u);
 }
 
 // --- circuit breaker + graceful degradation ----------------------------------
@@ -197,10 +197,10 @@ TEST(Reliability, BreakerOpensDegradesAndRecovers) {
     const auto r2 = service.predict(make_request(21));
     EXPECT_TRUE(r2.degraded);
     const auto stats = service.stats();
-    EXPECT_EQ(stats.degraded_served, 2u);
+    EXPECT_EQ(stats[serve::ServeCounter::DegradedServed], 2u);
     EXPECT_EQ(stats.breaker.open_total, 1u);
     EXPECT_GE(stats.breaker.rejected, 1u);
-    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(stats[serve::ServeCounter::Errors], 0u);
   }
   // Faults disarmed ("the solver recovered"). After the backoff a half-open
   // probe goes through, succeeds, and closes the breaker.
@@ -229,7 +229,7 @@ TEST(Reliability, ExplicitSolverRequestDegradesWhileBreakerOpen) {
   const auto r = service.predict(make_request(31, solver::FidelityLevel::High));
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.source, serve::ResponseSource::Surrogate);
-  EXPECT_EQ(service.stats().degraded_served, 1u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::DegradedServed], 1u);
 
   // Degraded answers are never cached: nothing for this key.
   EXPECT_EQ(service.stats().cache.entries, 0u);
@@ -274,9 +274,9 @@ TEST(Reliability, RetryAbsorbsForwardFaults) {
     EXPECT_TRUE(fields_bit_identical(response.Ez, expected[k])) << "request " << k;
   }
   const auto stats = faulted.stats();
-  EXPECT_EQ(stats.surrogate_retries, 3u);
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats[serve::ServeCounter::SurrogateRetries], 3u);
+  EXPECT_EQ(stats[serve::ServeCounter::Errors], 0u);
+  EXPECT_EQ(stats[serve::ServeCounter::Completed], 3u);
 }
 
 // --- stream hardening --------------------------------------------------------
@@ -485,7 +485,7 @@ TEST(Reliability, ClientDisconnectMidReplyIsLoggedNotFatal) {
   // Every reply settled, sent or not: nothing is left in flight.
   EXPECT_EQ(report.requests, 5u);
   EXPECT_EQ(report.errors, 0u);
-  EXPECT_EQ(service.stats().completed, 5u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::Completed], 5u);
 }
 
 // --- coalescing under chaos --------------------------------------------------
@@ -506,10 +506,10 @@ TEST(Reliability, CoalesceAttachFaultDegradesToDuplicateLeaders) {
   auto b = service.submit(make_request(80));
   EXPECT_TRUE(fields_bit_identical(a.get().Ez, b.get().Ez));
   const auto stats = service.stats();
-  EXPECT_EQ(stats.coalesced, 0u);
-  EXPECT_EQ(stats.surrogate_requests, 2u);  // both ran the pipeline
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats[serve::ServeCounter::Coalesced], 0u);
+  EXPECT_EQ(stats[serve::ServeCounter::SurrogateRequests], 2u);  // both ran the pipeline
+  EXPECT_EQ(stats[serve::ServeCounter::Completed], 2u);
+  EXPECT_EQ(stats[serve::ServeCounter::Errors], 0u);
 }
 
 TEST(Reliability, FailedLeaderFansTheErrorToAttachedWaiters) {
@@ -530,10 +530,10 @@ TEST(Reliability, FailedLeaderFansTheErrorToAttachedWaiters) {
   auto twin = make_request(81);
   twin.deadline_ms = 25.0;  // identical query -> same key, attaches
   auto waiter = service.submit(std::move(twin));
-  EXPECT_EQ(service.stats().coalesced, 1u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::Coalesced], 1u);
   EXPECT_THROW(leader.get(), maps::runtime::DeadlineExceeded);
   EXPECT_THROW(waiter.get(), maps::runtime::DeadlineExceeded);
   const auto stats = service.stats();
-  EXPECT_EQ(stats.deadline_exceeded, 2u);
-  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats[serve::ServeCounter::DeadlineExceeded], 2u);
+  EXPECT_EQ(stats[serve::ServeCounter::Errors], 0u);
 }

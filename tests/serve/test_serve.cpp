@@ -128,7 +128,7 @@ TEST(PredictionService, ConcurrentRepliesBitIdenticalToSequential) {
     EXPECT_TRUE(fields_bit_identical(response.Ez, expected[k])) << "request " << k;
   }
   EXPECT_EQ(hits_of("surrogate.forward"), requests.size());
-  EXPECT_EQ(many.stats().surrogate_requests, requests.size());
+  EXPECT_EQ(many.stats()[serve::ServeCounter::SurrogateRequests], requests.size());
 }
 
 TEST(PredictionService, CacheHitServedWithoutRerunningModel) {
@@ -141,7 +141,7 @@ TEST(PredictionService, CacheHitServedWithoutRerunningModel) {
   const auto first = service.predict(req);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.source, serve::ResponseSource::Surrogate);
-  const auto runs_after_first = service.stats().surrogate_requests;
+  const auto runs_after_first = service.stats()[serve::ServeCounter::SurrogateRequests];
 
   const auto second = service.predict(req);
   EXPECT_TRUE(second.cache_hit);
@@ -149,8 +149,8 @@ TEST(PredictionService, CacheHitServedWithoutRerunningModel) {
   EXPECT_EQ(second.source, serve::ResponseSource::Surrogate);
   EXPECT_TRUE(fields_bit_identical(second.Ez, first.Ez));
   // The model did not run again: no new surrogate dispatch.
-  EXPECT_EQ(service.stats().surrogate_requests, runs_after_first);
-  EXPECT_EQ(service.stats().cache_hits, 1u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::SurrogateRequests], runs_after_first);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::CacheHits], 1u);
 
   // A different pattern misses.
   const auto third = service.predict(make_request(8));
@@ -173,7 +173,7 @@ TEST(PredictionService, HighFidelityDispatchesThroughSolverBackend) {
   const auto cache_stats = service.solver_cache().stats();
   EXPECT_EQ(cache_stats.misses, 1u);
   EXPECT_GE(service.solver_cache().factorization_count(), 1);
-  EXPECT_EQ(service.stats().solver_requests, 1u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::SolverRequests], 1u);
 
   // ... and agrees with a direct fdfd::Simulation solve at 1e-12.
   fdfd::SimOptions sim_options;
@@ -209,7 +209,7 @@ TEST(PredictionService, LowConfidenceEscalatesToSolver) {
   const auto response = service.predict(req);
   EXPECT_TRUE(response.escalated);
   EXPECT_EQ(response.source, serve::ResponseSource::Solver);
-  EXPECT_EQ(service.stats().escalations, 1u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::Escalations], 1u);
 
   fdfd::SimOptions sim_options;
   sim_options.pml = req.pml;
@@ -226,7 +226,7 @@ TEST(PredictionService, LowConfidenceEscalatesToSolver) {
   // The escalated answer was cached: the repeat is a hit, still solver-grade.
   const auto again = service.predict(req);
   EXPECT_TRUE(again.cache_hit);
-  EXPECT_EQ(service.stats().escalations, 1u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::Escalations], 1u);
 }
 
 TEST(PredictionService, MediumFidelityUsesIterativeSolverTier) {
@@ -305,7 +305,7 @@ TEST(PredictionService, MalformedRequestFailsTheFutureOnly) {
   bad.eps = math::RealGrid(kN / 2, kN, 2.0);  // shape mismatch
   auto future = service.submit(std::move(bad));
   EXPECT_THROW(future.get(), MapsError);
-  EXPECT_EQ(service.stats().errors, 1u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::Errors], 1u);
 
   // The service still answers well-formed requests afterwards.
   EXPECT_EQ(service.predict(make_request(51)).source,
@@ -340,10 +340,10 @@ TEST(PredictionService, CoalescesIdenticalInflightQueries) {
   const auto stats = service.stats();
   // The surrogate ran for the two distinct patterns only.
   EXPECT_EQ(hits_of("surrogate.forward"), 2u);
-  EXPECT_EQ(stats.surrogate_requests, 2u);
-  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kRacers - 1));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRacers + 1));
-  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats[serve::ServeCounter::SurrogateRequests], 2u);
+  EXPECT_EQ(stats[serve::ServeCounter::Coalesced], static_cast<std::uint64_t>(kRacers - 1));
+  EXPECT_EQ(stats[serve::ServeCounter::Completed], static_cast<std::uint64_t>(kRacers + 1));
+  EXPECT_EQ(stats[serve::ServeCounter::Errors], 0u);
 }
 
 TEST(PredictionService, CoalescingDisabledRunsEveryQuery) {
@@ -360,7 +360,7 @@ TEST(PredictionService, CoalescingDisabledRunsEveryQuery) {
   EXPECT_TRUE(fields_bit_identical(a.get().Ez, b.get().Ez));
   const auto stats = service.stats();
   EXPECT_EQ(hits_of("surrogate.forward"), 2u);
-  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats[serve::ServeCounter::Coalesced], 0u);
 }
 
 }  // namespace

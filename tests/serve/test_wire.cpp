@@ -2,12 +2,16 @@
 // corpus), reply encoding and the ndjson stream loop.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "../json_mutants.hpp"
 #include "math/rng.hpp"
@@ -18,6 +22,7 @@ namespace {
 
 using namespace maps;
 using io::JsonValue;
+namespace fault = maps::runtime::fault;
 
 constexpr index_t kN = 16;
 
@@ -328,12 +333,12 @@ TEST(Wire, FuzzedRequestsParseOrThrowMapsError) {
 
 TEST(Wire, StatsJsonCarriesReliabilityBlock) {
   serve::ServeStatsSnapshot stats;
-  stats.shed = 2;
-  stats.deadline_exceeded = 3;
-  stats.degraded_served = 4;
-  stats.surrogate_retries = 5;
-  stats.solver_failovers = 1;
-  stats.completed = 7;
+  stats[serve::ServeCounter::Shed] = 2;
+  stats[serve::ServeCounter::DeadlineExceeded] = 3;
+  stats[serve::ServeCounter::DegradedServed] = 4;
+  stats[serve::ServeCounter::SurrogateRetries] = 5;
+  stats[serve::ServeCounter::SolverFailovers] = 1;
+  stats[serve::ServeCounter::Completed] = 7;
   stats.breaker.state = serve::BreakerState::Open;
   stats.breaker.open_total = 1;
   stats.breaker.rejected = 6;
@@ -365,14 +370,14 @@ TEST(Wire, StatsJsonCarriesJobsBlockWhenMounted) {
   EXPECT_FALSE(serve::stats_to_json(stats).has("jobs"));
 
   serve::JobsStatsSnapshot jobs;
-  jobs.submitted = 5;
-  jobs.completed = 2;
-  jobs.failed = 1;
-  jobs.cancelled = 1;
-  jobs.resumed = 1;
-  jobs.shed = 3;
-  jobs.steps = 40;
-  jobs.journal_retries = 4;
+  jobs[serve::JobsCounter::Submitted] = 5;
+  jobs[serve::JobsCounter::Completed] = 2;
+  jobs[serve::JobsCounter::Failed] = 1;
+  jobs[serve::JobsCounter::Cancelled] = 1;
+  jobs[serve::JobsCounter::Resumed] = 1;
+  jobs[serve::JobsCounter::Shed] = 3;
+  jobs[serve::JobsCounter::Steps] = 40;
+  jobs[serve::JobsCounter::JournalRetries] = 4;
   jobs.running = 1;
   jobs.queued = 2;
   const auto v = serve::stats_to_json(stats, &jobs);
@@ -388,23 +393,95 @@ TEST(Wire, StatsJsonCarriesJobsBlockWhenMounted) {
   EXPECT_EQ(v.at("jobs").at("queued").as_int(), 2);
 }
 
-TEST(Wire, MetricsPageCarriesEveryJobsStat) {
-  // /v1/metrics and the /v1/stats "jobs" block render one snapshot: every
-  // key of the block needs its Prometheus line (a counter or a gauge).
+TEST(Wire, MetricsPageCarriesEveryStatsNumber) {
+  // /v1/stats and /v1/metrics render the same numbers. Naming rule: the
+  // key `x` of the top level is maps_serve_x_total (a counter) or
+  // maps_serve_x (a gauge), of the "breaker" block maps_serve_breaker_x
+  // [_total], of the "jobs" block maps_jobs_x[_total]. Exceptions:
+  // cache_hit_rate is maps_serve_cache_hit_ratio, solver_refine_x is
+  // maps_solver_refine_x_total, and breaker.open_total keeps its name.
+  fault::disarm_all();
   serve::ServeOptions options;
   options.workers = 1;
+  options.max_inflight = 1;
   serve::PredictionService service(tiny_registry(), options);
   runtime::TaskQueue queue(1);
   serve::JobManager jobs(queue);
+
+  const auto request = [](double fill) {
+    return serve::parse_request(io::json_parse(request_line(0, fill)),
+                                test_defaults())
+        .request;
+  };
+  // A miss that holds the only inflight slot, a request shed meanwhile, and
+  // a hit (hits bypass admission, so the miss's slot release cannot race it).
+  fault::arm_from_spec("surrogate.forward=stall:150");
+  auto miss = service.submit(request(2.0));
+  EXPECT_THROW(service.predict(request(3.0)), serve::OverloadedError);
+  EXPECT_FALSE(miss.get().cache_hit);
+  fault::disarm_all();
+  EXPECT_TRUE(service.predict(request(2.0)).cache_hit);
+  io::JsonValue spec;
+  spec["type"] = "invdes";
+  spec["iterations"] = 1;
+  const std::string id = jobs.submit(spec);
+  std::string state;
+  while ((state = jobs.status(id).at("state").as_string()) == "queued" ||
+         state == "running") {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(state, "done");
+
   const serve::JobsStatsSnapshot snapshot = jobs.stats();
-  const JsonValue block = serve::stats_to_json(service.stats(), &snapshot).at("jobs");
-  const std::string text = serve::metrics_text(service, &jobs);
-  ASSERT_FALSE(block.as_object().empty());
-  for (const auto& [key, value] : block.as_object()) {
-    const std::string name = "\nmaps_jobs_" + key;
-    EXPECT_TRUE(text.find(name + "_total ") != std::string::npos ||
-                text.find(name + " ") != std::string::npos)
-        << "no metrics line for jobs." << key;
+  const JsonValue doc = serve::stats_to_json(service.stats(), &snapshot);
+  std::map<std::string, double> samples;
+  std::map<std::string, std::string> types;
+  std::istringstream page(serve::metrics_text(service, &jobs));
+  for (std::string line; std::getline(page, line);) {
+    std::istringstream fields(line);
+    std::string first, name, type;
+    fields >> first;
+    if (first == "#") {
+      fields >> type >> name >> type;
+      types[name] = type;
+    } else {
+      samples[first] = std::stod(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  const auto family = [&samples](const std::string& prefix, const std::string& key) {
+    const bool top = prefix == "maps_serve_";
+    if (top && key == "cache_hit_rate") return prefix + "cache_hit_ratio";
+    if (top && key.rfind("solver_refine_", 0) == 0) return "maps_" + key + "_total";
+    if (prefix == "maps_serve_breaker_" && key == "open_total") return prefix + key;
+    const std::string counter = prefix + key + "_total";
+    return samples.count(counter) ? counter : prefix + key;
+  };
+  std::size_t checked = 0;
+  const auto check = [&](const std::string& prefix, const JsonValue& block) {
+    for (const auto& [key, value] : block.as_object()) {
+      if (!value.is_number()) continue;
+      ++checked;
+      const std::string name = family(prefix, key);
+      EXPECT_TRUE(samples.count(name)) << "no /v1/metrics sample " << name;
+      if (!samples.count(name)) continue;
+      const double want = value.as_number(), got = samples[name];
+      if (types[name] == "counter") {
+        EXPECT_EQ(got, want) << name;
+      } else {
+        EXPECT_EQ(types[name], "gauge") << name;
+        EXPECT_LE(std::abs(got - want), 1e-8 * std::abs(want)) << name;
+      }
+    }
+  };
+  check("maps_serve_", doc);
+  check("maps_serve_breaker_", doc.at("breaker"));
+  check("maps_jobs_", doc.at("jobs"));
+  EXPECT_EQ(checked, 20u + 5u + 10u);
+  EXPECT_EQ(doc.at("cache_hits").as_int(), 1);
+  EXPECT_EQ(doc.at("shed").as_int(), 1);
+  EXPECT_EQ(doc.at("jobs").at("steps").as_int(), 1);
+  if (const char* env = std::getenv("MAPS_FAULTS")) {
+    if (env[0] != '\0') fault::arm_from_spec(env);
   }
 }
 

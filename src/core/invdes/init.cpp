@@ -17,6 +17,13 @@ const char* init_name(InitKind kind) {
   return "?";
 }
 
+InitKind init_kind_from_name(const std::string& name) {
+  for (const InitKind kind : {InitKind::Gray, InitKind::Random, InitKind::PathSeed}) {
+    if (name == init_name(kind)) return kind;
+  }
+  throw MapsError("init must be gray | random | path_seed, got '" + name + "'");
+}
+
 namespace {
 
 // Design-box coordinates (design-grid cells) of the point where a port's

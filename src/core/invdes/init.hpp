@@ -4,6 +4,7 @@
 // maximize-target port.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "devices/device.hpp"
@@ -14,6 +15,8 @@ namespace maps::invdes {
 enum class InitKind { Gray, Random, PathSeed };
 
 const char* init_name(InitKind kind);
+/// Inverse of init_name; throws MapsError on any other spelling.
+InitKind init_kind_from_name(const std::string& name);
 
 /// theta for a DirectDensity parameterization over the device's design box.
 std::vector<double> make_initial_theta(const devices::DeviceProblem& device,

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "core/invdes/init.hpp"
 #include "obs/log.hpp"
 
 namespace maps::io {
@@ -397,15 +398,8 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   cfg.serve.cache_capacity = non_negative(
       r.integer("cache_capacity", static_cast<int>(cfg.serve.cache_capacity)),
       "cache_capacity");
-  cfg.serve.cache_shards = non_negative(
-      r.integer("cache_shards", static_cast<int>(cfg.serve.cache_shards)),
-      "cache_shards");
   cfg.serve.escalate_rms_factor =
       r.number("escalate_rms_factor", cfg.serve.escalate_rms_factor);
-  cfg.serve.solver_cache_capacity = non_negative(
-      r.integer("solver_cache_capacity",
-                static_cast<int>(cfg.serve.solver_cache_capacity)),
-      "solver_cache_capacity");
   if (r.has("solver_precision")) {
     cfg.serve.solver_precision =
         solver::solver_precision_from_name(r.get("solver_precision").as_string());
@@ -463,7 +457,6 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   (void)obs::parse_log_format(cfg.log_format);
 
   (void)solver::fidelity_from_name(cfg.fidelity);  // validate the spelling
-  if (cfg.serve.cache_shards < 1) throw MapsError("serve: cache_shards must be >= 1");
   if (cfg.port < 0 || cfg.port > 65535) {
     throw MapsError("serve: port must be in [0, 65535]");
   }
@@ -530,9 +523,7 @@ JsonValue ServeConfig::to_json() const {
   v["std_lambda_ref"] = standardizer.lambda_ref;
   v["workers"] = static_cast<int>(serve.workers);
   v["cache_capacity"] = static_cast<int>(serve.cache_capacity);
-  v["cache_shards"] = static_cast<int>(serve.cache_shards);
   v["escalate_rms_factor"] = serve.escalate_rms_factor;
-  v["solver_cache_capacity"] = static_cast<int>(serve.solver_cache_capacity);
   v["solver_precision"] = solver::solver_precision_name(serve.solver_precision);
   v["max_inflight"] = static_cast<int>(serve.max_inflight);
   v["max_queue_ms"] = serve.max_queue_ms;
@@ -585,9 +576,7 @@ InvDesConfig InvDesConfig::from_json(const JsonValue& v) {
   cfg.report = r.string("report", "");
   r.reject_unknown();
 
-  if (cfg.init != "gray" && cfg.init != "random" && cfg.init != "path_seed") {
-    throw MapsError("invdes: init must be gray | random | path_seed");
-  }
+  (void)invdes::init_kind_from_name(cfg.init);  // validate the spelling
   check_positive(cfg.options.iterations, "iterations");
   check_positive(cfg.options.lr, "lr");
   check_positive(cfg.options.beta_start, "beta_start");
@@ -644,9 +633,7 @@ SweepJobConfig SweepJobConfig::from_json(const JsonValue& v) {
   if (cfg.sweep != "corners" && cfg.sweep != "sparams") {
     throw MapsError("sweep: sweep must be corners | sparams");
   }
-  if (cfg.init != "gray" && cfg.init != "random" && cfg.init != "path_seed") {
-    throw MapsError("sweep: init must be gray | random | path_seed");
-  }
+  (void)invdes::init_kind_from_name(cfg.init);  // validate the spelling
   for (const double w : cfg.wavelengths) check_positive(w, "wavelengths");
   for (const double t : cfg.theta) {
     if (!std::isfinite(t)) throw MapsError("sweep: theta must be finite");

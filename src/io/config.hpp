@@ -97,8 +97,8 @@ struct TrainConfig {
 /// (src/serve/). "model"/"width"/"modes"/"depth" describe the architecture,
 /// "checkpoint" the trainer-saved parameter file (empty = fresh random
 /// weights, a dev mode), and the "standardizer" block carries the training
-/// normalization constants the input encoder needs. "cache_capacity" /
-/// "cache_shards" size the result cache, "workers" the inference worker pool
+/// normalization constants the input encoder needs. "cache_capacity" sizes
+/// the result cache, "workers" the inference worker pool
 /// (0 = shared queue), "http" selects the HTTP front end (else ndjson on
 /// stdin/stdout), and "escalate_rms_factor" arms the low-confidence solver
 /// escalation screen.

@@ -26,13 +26,6 @@ namespace maps::io {
 
 namespace {
 
-invdes::InitKind init_kind_from_name(const std::string& name) {
-  if (name == "gray") return invdes::InitKind::Gray;
-  if (name == "random") return invdes::InitKind::Random;
-  if (name == "path_seed") return invdes::InitKind::PathSeed;
-  throw MapsError("init must be gray | random | path_seed, got '" + name + "'");
-}
-
 JsonValue transmission_stats(const std::vector<double>& ts) {
   JsonValue v;
   if (ts.empty()) {
@@ -287,7 +280,7 @@ JsonValue run_invdes(const InvDesConfig& config, std::ostream& log) {
   auto pipeline = devices::make_default_pipeline(device, config.device, config.pipeline);
 
   auto theta0 =
-      invdes::make_initial_theta(device, init_kind_from_name(config.init), config.seed);
+      invdes::make_initial_theta(device, invdes::init_kind_from_name(config.init), config.seed);
   log << "[invdes] device=" << devices::device_name(config.device) << " init="
       << config.init << " iterations=" << config.options.iterations
       << " solver=" << solver::solver_kind_name(config.solver.config.kind) << "\n";
@@ -371,8 +364,7 @@ JsonValue run_serve(const ServeConfig& config, std::istream& in, std::ostream& o
   const auto defaults = config.wire_defaults();
   {
     std::ostringstream msg;
-    msg << "cache=" << config.serve.cache_capacity << "x"
-        << config.serve.cache_shards << " workers=" << config.serve.workers
+    msg << "cache=" << config.serve.cache_capacity << " workers=" << config.serve.workers
         << " fidelity_default=" << config.fidelity;
     obs::log_to(&log, obs::LogLevel::Info, "serve", msg.str());
   }

@@ -1,13 +1,9 @@
 #include "net/event_loop.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 
 #include "math/types.hpp"
 #include "net/listener.hpp"
@@ -18,7 +14,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-#ifdef __linux__
 std::uint32_t to_epoll(std::uint32_t interest) {
   std::uint32_t ev = 0;
   if (interest & EventLoop::kRead) ev |= EPOLLIN;
@@ -35,24 +30,6 @@ std::uint32_t from_epoll(std::uint32_t ev) {
   if (ev & (EPOLLHUP | EPOLLERR)) mask |= EventLoop::kError | EventLoop::kRead;
   return mask;
 }
-#endif
-
-short to_poll(std::uint32_t interest) {
-  short ev = 0;
-  if (interest & EventLoop::kRead) ev |= POLLIN;
-  if (interest & EventLoop::kWrite) ev |= POLLOUT;
-  return ev;
-}
-
-std::uint32_t from_poll(short ev) {
-  std::uint32_t mask = 0;
-  if (ev & POLLIN) mask |= EventLoop::kRead;
-  if (ev & POLLOUT) mask |= EventLoop::kWrite;
-  if (ev & (POLLHUP | POLLERR | POLLNVAL)) {
-    mask |= EventLoop::kError | EventLoop::kRead;
-  }
-  return mask;
-}
 
 }  // namespace
 
@@ -60,51 +37,35 @@ EventLoop::EventLoop() {
   require(::pipe(wake_pipe_) == 0, "EventLoop: pipe() failed");
   set_nonblocking(wake_pipe_[0]);
   set_nonblocking(wake_pipe_[1]);
-#ifdef __linux__
-  const char* force_poll = std::getenv("MAPS_NET_FORCE_POLL");
-  if (force_poll == nullptr || force_poll[0] == '\0' || force_poll[0] == '0') {
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ >= 0) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = wake_pipe_[0];
-      require(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_pipe_[0], &ev) == 0,
-              "EventLoop: epoll_ctl(wake pipe) failed");
-    }
-  }
-#endif
+  epoll_fd_ = ::epoll_create1(0);
+  require(epoll_fd_ >= 0, "EventLoop: epoll_create1() failed");
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_pipe_[0];
+  require(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_pipe_[0], &ev) == 0,
+          "EventLoop: epoll_ctl(wake pipe) failed");
 }
 
 EventLoop::~EventLoop() {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
+  ::close(epoll_fd_);
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
 }
 
-void EventLoop::update_backend(int fd, std::uint32_t interest, bool add) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    const int op = add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
-    require(::epoll_ctl(epoll_fd_, op, fd, &ev) == 0,
-            "EventLoop: epoll_ctl(add/mod) failed");
-  }
-#else
-  (void)fd;
-  (void)interest;
-  (void)add;
-#endif
+void EventLoop::update_epoll(int fd, std::uint32_t interest, bool add) {
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  const int op = add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
+  require(::epoll_ctl(epoll_fd_, op, fd, &ev) == 0,
+          "EventLoop: epoll_ctl(add/mod) failed");
 }
 
 void EventLoop::add_fd(int fd, std::uint32_t interest, FdCallback cb) {
   require(fd >= 0, "EventLoop::add_fd: bad fd");
   require(fds_.count(fd) == 0, "EventLoop::add_fd: fd already registered");
   fds_[fd] = FdEntry{interest, std::move(cb)};
-  update_backend(fd, interest, /*add=*/true);
+  update_epoll(fd, interest, /*add=*/true);
 }
 
 void EventLoop::set_interest(int fd, std::uint32_t interest) {
@@ -112,19 +73,15 @@ void EventLoop::set_interest(int fd, std::uint32_t interest) {
   require(it != fds_.end(), "EventLoop::set_interest: fd not registered");
   if (it->second.interest == interest) return;
   it->second.interest = interest;
-  update_backend(fd, interest, /*add=*/false);
+  update_epoll(fd, interest, /*add=*/false);
 }
 
 void EventLoop::remove_fd(int fd) {
   auto it = fds_.find(fd);
   if (it == fds_.end()) return;
   fds_.erase(it);
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-#endif
+  epoll_event ev{};
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
 }
 
 void EventLoop::wake() {
@@ -179,39 +136,17 @@ void EventLoop::run(const std::function<void()>& tick, double tick_ms) {
                              1;
     }
 
-    // (fd, ready-mask) pairs collected from the backend this iteration.
+    // (fd, ready-mask) pairs collected this iteration.
     std::vector<std::pair<int, std::uint32_t>> ready;
     bool woke = false;
-
-#ifdef __linux__
-    if (epoll_fd_ >= 0) {
-      epoll_event events[64];
-      const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-      for (int i = 0; i < n; ++i) {
-        const int fd = events[i].data.fd;
-        if (fd == wake_pipe_[0]) {
-          woke = true;
-        } else {
-          ready.emplace_back(fd, from_epoll(events[i].events));
-        }
-      }
-    } else
-#endif
-    {
-      std::vector<pollfd> pfds;
-      pfds.reserve(fds_.size() + 1);
-      pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-      for (const auto& [fd, entry] : fds_) {
-        pfds.push_back(pollfd{fd, to_poll(entry.interest), 0});
-      }
-      const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-      if (n > 0) {
-        if (pfds[0].revents != 0) woke = true;
-        for (std::size_t i = 1; i < pfds.size(); ++i) {
-          if (pfds[i].revents != 0) {
-            ready.emplace_back(pfds[i].fd, from_poll(pfds[i].revents));
-          }
-        }
+    epoll_event events[64];
+    const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == wake_pipe_[0]) {
+        woke = true;
+      } else {
+        ready.emplace_back(fd, from_epoll(events[i].events));
       }
     }
 

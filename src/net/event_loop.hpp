@@ -6,10 +6,9 @@
 // a closure and wakes the loop through a self-pipe — the only cross-thread
 // channel, and the only locked structure.
 //
-// Backend: epoll on Linux, poll(2) elsewhere (MAPS_NET_FORCE_POLL=1 forces
-// the fallback for tests). Level-triggered in both cases: a callback that
-// doesn't drain its fd is simply called again, which keeps the connection
-// state machines simple and fair under pipelining.
+// Backend: epoll (the repo builds on Linux only), level-triggered: a
+// callback that doesn't drain its fd is simply called again, which keeps the
+// connection state machines simple and fair under pipelining.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +29,8 @@ class EventLoop {
 
   using FdCallback = std::function<void(std::uint32_t events)>;
 
+  /// Throws MapsError when the epoll instance or the wake pipe cannot be
+  /// created.
   EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
@@ -66,10 +67,10 @@ class EventLoop {
 
   void wake();
   void drain_posted();
-  void update_backend(int fd, std::uint32_t interest, bool add);
+  void update_epoll(int fd, std::uint32_t interest, bool add);
 
   std::unordered_map<int, FdEntry> fds_;
-  int epoll_fd_ = -1;        // -1 => poll(2) backend
+  int epoll_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   bool stop_ = false;
 

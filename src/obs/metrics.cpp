@@ -90,7 +90,6 @@ struct Registry::Impl {
   // std::map keeps visitation name-sorted; unique_ptr keeps addresses
   // stable across rehash-free inserts so call sites may cache references.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
 };
 
@@ -105,16 +104,6 @@ Counter& Registry::counter(std::string_view name) {
   auto it = im.counters.find(name);
   if (it == im.counters.end()) {
     it = im.counters.emplace(std::string(name), std::make_unique<Counter>()).first;
-  }
-  return *it->second;
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.gauges.find(name);
-  if (it == im.gauges.end()) {
-    it = im.gauges.emplace(std::string(name), std::make_unique<Gauge>()).first;
   }
   return *it->second;
 }
@@ -134,13 +123,6 @@ void Registry::visit_counters(
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   for (const auto& [name, c] : im.counters) fn(name, *c);
-}
-
-void Registry::visit_gauges(
-    const std::function<void(const std::string&, const Gauge&)>& fn) const {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  for (const auto& [name, g] : im.gauges) fn(name, *g);
 }
 
 void Registry::visit_histograms(
@@ -182,13 +164,6 @@ std::string Registry::render_prometheus() const {
     os << "# TYPE " << p << "_total counter\n";
     os << p << "_total " << c.value() << "\n";
   });
-  visit_gauges([&os](const std::string& name, const Gauge& g) {
-    const std::string p = prometheus_name(name);
-    os << "# TYPE " << p << " gauge\n";
-    os << p << " ";
-    format_number(os, g.value());
-    os << "\n";
-  });
   visit_histograms([&os](const std::string& name, const Histogram& h) {
     const std::string p = prometheus_name(name);
     const Histogram::Snapshot snap = h.snapshot();
@@ -196,9 +171,6 @@ std::string Registry::render_prometheus() const {
     std::uint64_t cum = 0;
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       cum += snap.counts[i];
-      // Only emit buckets up to the last non-empty one to keep the page
-      // readable; +Inf always carries the total.
-      if (cum == snap.count && snap.counts[i] == 0 && i > 0) continue;
       os << p << "_bucket{le=\"";
       format_number(os, Histogram::bucket_bound(i));
       os << "\"} " << cum << "\n";

@@ -1,5 +1,5 @@
-// Process-wide metrics registry: named counters, gauges and log-scale
-// latency histograms, built for instrumentation of the serve hot path; and
+// Process-wide metrics registry: named counters and log-scale latency
+// histograms, built for instrumentation of the serve hot path; and
 // CounterTable, the per-instance counters serve and jobs keep.
 //
 // Discipline (same as runtime/fault.hpp): instrumentation is always
@@ -75,16 +75,6 @@ class CounterTable {
   std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(E::Count)> cells_{};
 };
 
-/// Last-write-wins instantaneous value (queue depth, breaker state, ...).
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Fixed-bucket log-scale latency histogram. All methods are thread-safe.
 class Histogram {
  public:
@@ -121,24 +111,23 @@ class Histogram {
   Shard shards_[kShards];
 };
 
-/// Process-wide registry. `counter`/`gauge`/`histogram` create on first
-/// use and return a stable reference (mutex held only for the map lookup —
+/// Process-wide registry. `counter`/`histogram` create on first use and
+/// return a stable reference (mutex held only for the map lookup —
 /// cache the reference at the call site). Names must follow the dotted
 /// convention above.
 class Registry {
  public:
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Visit every metric, name-sorted (for renderers).
   void visit_counters(const std::function<void(const std::string&, const Counter&)>& fn) const;
-  void visit_gauges(const std::function<void(const std::string&, const Gauge&)>& fn) const;
   void visit_histograms(const std::function<void(const std::string&, const Histogram&)>& fn) const;
 
   /// Prometheus text exposition (version 0.0.4) of everything registered:
-  /// counters as `maps_<name>_total`, gauges as `maps_<name>`, histograms
-  /// as `_bucket{le=...}/_sum/_count` plus `_p50/_p90/_p99` gauge lines.
+  /// counters as `maps_<name>_total`, histograms as every bucket's
+  /// `_bucket{le=...}` (all 64 bounds plus +Inf, so the series set never
+  /// changes) and `_sum/_count`, plus `_p50/_p90/_p99` gauge lines.
   std::string render_prometheus() const;
 
  private:

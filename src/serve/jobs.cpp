@@ -44,13 +44,6 @@ std::vector<double> from_json_array(const io::JsonValue& v) {
   return xs;
 }
 
-invdes::InitKind init_kind_from_name(const std::string& name) {
-  if (name == "gray") return invdes::InitKind::Gray;
-  if (name == "random") return invdes::InitKind::Random;
-  if (name == "path_seed") return invdes::InitKind::PathSeed;
-  throw MapsError("jobs: init must be gray | random | path_seed");
-}
-
 io::JsonValue stepper_state_to_json(const invdes::StepperState& s) {
   io::JsonValue v;
   v["step"] = s.step;
@@ -127,7 +120,7 @@ class InvdesJobEngine final : public JobEngine {
     } else {
       stepper_.emplace(*pipeline_, config_.options,
                        invdes::make_initial_theta(
-                           device_, init_kind_from_name(config_.init), config_.seed));
+                           device_, invdes::init_kind_from_name(config_.init), config_.seed));
     }
   }
 
@@ -196,7 +189,7 @@ class SweepJobEngine final : public JobEngine {
     pipeline_.emplace(devices::make_default_pipeline(device_, config_.device));
     if (config_.theta.empty()) {
       theta_ = invdes::make_initial_theta(
-          device_, init_kind_from_name(config_.init), config_.seed);
+          device_, invdes::init_kind_from_name(config_.init), config_.seed);
     } else {
       maps::require(
           static_cast<int>(config_.theta.size()) == pipeline_->num_params(),

@@ -1,7 +1,5 @@
 #include "serve/result_cache.hpp"
 
-#include <cstring>
-
 namespace maps::serve {
 
 std::size_t QueryKeyHash::operator()(const QueryKey& k) const {
@@ -14,97 +12,46 @@ std::size_t QueryKeyHash::operator()(const QueryKey& k) const {
     }
   };
   mix(k.pattern_digest);
-  std::uint64_t omega_bits = 0;
-  static_assert(sizeof(k.omega) == sizeof(omega_bits));
-  std::memcpy(&omega_bits, &k.omega, sizeof(omega_bits));
-  mix(omega_bits);
+  mix(std::bit_cast<std::uint64_t>(k.omega));
   mix(static_cast<std::uint64_t>(k.fidelity));
   mix(static_cast<std::uint64_t>(k.model_version));
   return static_cast<std::size_t>(h);
 }
 
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-  const std::size_t n = std::max<std::size_t>(1, std::min(shards, std::max<std::size_t>(1, capacity)));
-  shards_.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    auto shard = std::make_unique<Shard>();
-    // Spread the capacity; earlier shards absorb the remainder.
-    shard->capacity = capacity / n + (s < capacity % n ? 1 : 0);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-ResultCache::Shard& ResultCache::shard_for(const QueryKey& key) {
-  return *shards_[QueryKeyHash{}(key) % shards_.size()];
-}
-
 std::shared_ptr<const CachedResult> ResultCache::get(const QueryKey& key) {
   if (!enabled()) return nullptr;
-  Shard& s = shard_for(key);
-  std::lock_guard lk(s.mu);
-  const auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    ++s.misses;
+  std::lock_guard lk(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++misses_;
     return nullptr;
   }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-  ++s.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+  ++hits_;
   return it->second->second;
 }
 
 void ResultCache::put(const QueryKey& key, std::shared_ptr<const CachedResult> value) {
   if (!enabled()) return;
-  Shard& s = shard_for(key);
-  std::lock_guard lk(s.mu);
-  const auto it = s.index.find(key);
-  if (it != s.index.end()) {
+  std::lock_guard lk(mu_);
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->second = std::move(value);
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  s.lru.emplace_front(key, std::move(value));
-  s.index.emplace(key, s.lru.begin());
-  while (s.lru.size() > s.capacity) {
-    s.index.erase(s.lru.back().first);
-    s.lru.pop_back();
-    ++s.evictions;
+  lru_.emplace_front(key, std::move(value));
+  index_.emplace(key, lru_.begin());
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
 ResultCacheStats ResultCache::stats() const {
-  ResultCacheStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.evictions += shard->evictions;
-    total.entries += shard->lru.size();
-  }
-  return total;
-}
-
-std::vector<ResultCacheStats> ResultCache::shard_stats() const {
-  std::vector<ResultCacheStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    ResultCacheStats s;
-    s.hits = shard->hits;
-    s.misses = shard->misses;
-    s.evictions = shard->evictions;
-    s.entries = shard->lru.size();
-    out.push_back(s);
-  }
-  return out;
-}
-
-void ResultCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
+  std::lock_guard lk(mu_);
+  return {hits_, misses_, evictions_, lru_.size()};
 }
 
 }  // namespace maps::serve

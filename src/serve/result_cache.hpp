@@ -1,4 +1,4 @@
-// ResultCache: sharded LRU over finished predictions.
+// ResultCache: one LRU over finished predictions.
 //
 // Serving traffic is repetitive — wavelength sweeps re-query the same
 // pattern, design loops revisit candidate structures, dashboards re-fetch —
@@ -6,9 +6,9 @@
 // query identity: a digest of the pattern (eps bytes + source bytes + grid
 // shape + pml), the frequency, the requested fidelity, and the model version
 // that answered (solver answers use version 0: exact results survive model
-// hot-swaps). The key space is split across independently locked shards so
-// concurrent lookups from many worker threads don't serialize on one mutex;
-// each shard runs its own LRU list with a per-shard slice of the capacity.
+// hot-swaps). One mutex guards one LRU list, so the cache holds exactly
+// `capacity` entries whatever the keys hash to; a lookup holds the lock for
+// a hash probe and a list splice.
 #pragma once
 
 #include <bit>
@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "math/field2d.hpp"
 
@@ -31,7 +30,7 @@ struct QueryKey {
 
   /// Equality compares omega's bit pattern, matching QueryKeyHash, so keys
   /// that differ only as +0.0 vs -0.0 (equal as doubles, distinct bits)
-  /// cannot land in one shard's map while hashing to another.
+  /// cannot share a map slot while hashing apart.
   bool operator==(const QueryKey& o) const {
     return pattern_digest == o.pattern_digest &&
            std::bit_cast<std::uint64_t>(omega) ==
@@ -65,41 +64,27 @@ struct ResultCacheStats {
 
 class ResultCache {
  public:
-  /// `capacity` entries total, spread over `shards` independent LRU shards
-  /// (each gets at least one slot). capacity == 0 disables the cache:
-  /// lookups miss without counting and insertions drop.
-  explicit ResultCache(std::size_t capacity = 1024, std::size_t shards = 8);
+  /// `capacity` entries; 0 disables the cache: lookups miss without
+  /// counting and insertions drop.
+  explicit ResultCache(std::size_t capacity = 1024) : capacity_(capacity) {}
 
   /// nullptr on miss; refreshes LRU position on hit.
   std::shared_ptr<const CachedResult> get(const QueryKey& key);
 
-  /// Insert (or refresh) an entry, evicting the shard's LRU tail past the
-  /// per-shard capacity.
+  /// Insert (or refresh) an entry, evicting the least recently used entry
+  /// past capacity.
   void put(const QueryKey& key, std::shared_ptr<const CachedResult> value);
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
   bool enabled() const { return capacity_ > 0; }
   ResultCacheStats stats() const;
-  /// One ResultCacheStats per shard, in shard order (the metrics scrape
-  /// reports per-shard hit ratios so key skew across shards is visible).
-  std::vector<ResultCacheStats> shard_stats() const;
-  void clear();
 
  private:
-  struct Shard {
-    std::mutex mu;
-    // Front = most recently used.
-    std::list<std::pair<QueryKey, std::shared_ptr<const CachedResult>>> lru;
-    std::unordered_map<QueryKey, decltype(lru)::iterator, QueryKeyHash> index;
-    std::size_t capacity = 0;
-    std::size_t hits = 0, misses = 0, evictions = 0;
-  };
-
-  Shard& shard_for(const QueryKey& key);
-
-  std::size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  // Front = most recently used.
+  std::list<std::pair<QueryKey, std::shared_ptr<const CachedResult>>> lru_;
+  std::unordered_map<QueryKey, decltype(lru_)::iterator, QueryKeyHash> index_;
+  std::size_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 
 }  // namespace maps::serve

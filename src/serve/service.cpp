@@ -69,9 +69,7 @@ QueryKey PredictionService::make_key(const ServeRequest& request, int model_vers
 PredictionService::PredictionService(std::shared_ptr<ModelRegistry> registry,
                                      ServeOptions options)
     : registry_(std::move(registry)), options_(options),
-      cache_(options.cache_capacity, options.cache_shards),
-      solver_cache_(std::make_shared<solver::FactorizationCache>(
-          std::max<std::size_t>(1, options.solver_cache_capacity))) {
+      cache_(options.cache_capacity) {
   require(registry_ != nullptr, "PredictionService: null registry");
   if (options_.workers > 0) {
     own_queue_ = std::make_unique<runtime::TaskQueue>(options_.workers);
@@ -433,19 +431,32 @@ ServeResponse PredictionService::solve_guarded(const ServeRequest& request,
 }
 
 ServeResponse PredictionService::solve_high(const ServeRequest& request) {
-  // The solver tier inherits the LDL^T band direct path and the
-  // FactorizationCache: repeat escalations of one pattern only pay
-  // back-substitution. Medium fidelity maps to the iterative backend.
+  // The solver tier runs the LDL^T band direct path on a backend of its own:
+  // the result cache answers every repeat of a query, so a factorization
+  // kept past this solve would only hold memory. Medium fidelity maps to the
+  // iterative backend.
   fdfd::SimOptions sim_options;
   sim_options.pml = request.pml;
   sim_options.set_fidelity(request.fidelity == solver::FidelityLevel::Low
                                ? solver::FidelityLevel::High
                                : request.fidelity);
-  sim_options.cache = solver_cache_;
   sim_options.precision = options_.solver_precision;
   fdfd::Simulation sim(request.spec, request.eps, request.omega, sim_options);
+  // Refinement work counts also when the solve throws (a deadline can stop
+  // it between refinement rounds).
+  const auto tally = [this, &sim] {
+    const solver::SolverStats work = sim.backend().stats();
+    refine_iterations_.fetch_add(static_cast<std::uint64_t>(work.refine_iterations));
+    refine_fallbacks_.fetch_add(static_cast<std::uint64_t>(work.refine_fallbacks));
+  };
   ServeResponse response;
-  response.Ez = sim.solve(request.J);
+  try {
+    response.Ez = sim.solve(request.J);
+  } catch (...) {
+    tally();
+    throw;
+  }
+  tally();
   response.source = ResponseSource::Solver;
   return response;
 }
@@ -509,27 +520,29 @@ void PredictionService::finish(runtime::Promise<ServeResponse>& promise,
                                const QueryKey* key, const obs::TracePtr& trace) {
   std::vector<Waiter> waiters = take_waiters(key);
   const double now = runtime::now_steady_ms();
-  // Fan out to attached waiters first (they copy), then the leader consumes
-  // the original. Each request is billed its own latency from its own
-  // submit().
+  // Each request is billed its own latency from its own submit().
   for (Waiter& w : waiters) {
-    ServeResponse copy = response;
-    copy.latency_ms = now - w.start_ms;
-    record_completion(copy.latency_ms);
+    record_completion(now - w.start_ms);
     // The attacher did none of the pipeline work itself — adopt the
     // leader's spans so its trace names what it waited on.
     if (w.trace != nullptr && trace != nullptr) w.trace->adopt(*trace);
-    observe_terminal(w.trace, copy.latency_ms, "ok");
-    w.promise.set_value(std::move(copy));
-    inflight_.fetch_sub(1);
+    observe_terminal(w.trace, now - w.start_ms, "ok");
   }
   response.latency_ms = now - start_ms;
   record_completion(response.latency_ms);
   observe_terminal(trace, response.latency_ms, "ok");
-  promise.set_value(std::move(response));
   // Last touch of service state: the destructor's drain proceeds the moment
-  // this hits zero.
-  inflight_.fetch_sub(1);
+  // this hits zero. Every promise is fulfilled after it, so no caller sees
+  // its answer while its request still holds a slot.
+  inflight_.fetch_sub(1 + waiters.size());
+  // Fan out to attached waiters first (they copy), then the leader consumes
+  // the original.
+  for (Waiter& w : waiters) {
+    ServeResponse copy = response;
+    copy.latency_ms = now - w.start_ms;
+    w.promise.set_value(std::move(copy));
+  }
+  promise.set_value(std::move(response));
 }
 
 void PredictionService::fail(runtime::Promise<ServeResponse>& promise,
@@ -553,22 +566,20 @@ void PredictionService::fail(runtime::Promise<ServeResponse>& promise,
   for (Waiter& w : waiters) {
     if (w.trace != nullptr && trace != nullptr) w.trace->adopt(*trace);
     observe_terminal(w.trace, now - w.start_ms, outcome);
-    w.promise.set_exception(error);
-    inflight_.fetch_sub(1);
   }
   if (trace != nullptr) observe_terminal(trace, now - trace->created_ms(), outcome);
+  // Last touch of service state, before any promise fails (as in finish()).
+  inflight_.fetch_sub(n);
+  for (Waiter& w : waiters) w.promise.set_exception(error);
   promise.set_exception(std::move(error));
-  inflight_.fetch_sub(1);
 }
 
 ServeStatsSnapshot PredictionService::stats() const {
   ServeStatsSnapshot s;
   counters_.read(s);
   s.breaker = breaker_->stats();
-  s.solver_refine_iterations =
-      static_cast<std::uint64_t>(solver_cache_->refinement_iteration_count());
-  s.solver_refine_fallbacks =
-      static_cast<std::uint64_t>(solver_cache_->refinement_fallback_count());
+  s.solver_refine_iterations = refine_iterations_.load();
+  s.solver_refine_fallbacks = refine_fallbacks_.load();
   {
     std::lock_guard lk(latency_mu_);
     s.total_latency_ms = total_latency_ms_;

@@ -3,18 +3,18 @@
 // One service answers pattern queries (permittivity map + source + frequency
 // + fidelity hint) from a three-tier pipeline:
 //
-//   1. ResultCache     sharded LRU keyed on (pattern digest, omega,
-//                      fidelity, model version) — repeat queries cost a hash
-//                      lookup, the model never re-runs;
+//   1. ResultCache     one LRU keyed on (pattern digest, omega, fidelity,
+//                      model version) — repeat queries cost a hash lookup,
+//                      the model never re-runs;
 //   2. Surrogate       each miss at surrogate fidelity is one task on the
 //                      service's TaskQueue: a single-sample Module::infer on
 //                      the model snapshot taken at submit time (a hot-swap
 //                      never retargets a queued request);
 //   3. Escalation      `fidelity: high` requests — and surrogate outputs that
-//                      fail the confidence screen — run through
-//                      solver::SolverBackend via fdfd::Simulation, sharing
-//                      one FactorizationCache (LDL^T band factors) across
-//                      requests, so repeat verifications only back-substitute.
+//                      fail the confidence screen — run through a private
+//                      solver::SolverBackend per request via fdfd::Simulation
+//                      (assemble, LDL^T factorize, solve); a repeat
+//                      verification is a result-cache hit, not a re-solve.
 //
 // submit() is asynchronous (returns a runtime::Future); predict() is the
 // blocking convenience. Callers are external threads — do not call predict()
@@ -109,17 +109,14 @@ struct ServeOptions {
 
   // Result cache (entries; 0 disables).
   std::size_t cache_capacity = 1024;
-  std::size_t cache_shards = 8;
 
   // Escalation policy: a surrogate field whose RMS exceeds
   // escalate_rms_factor * field_scale (or is non-finite) is re-answered by
   // the solver. 0 disables the RMS screen (non-finite always escalates).
   double escalate_rms_factor = 0.0;
-  /// Prepared high-fidelity operators kept across escalation solves.
-  std::size_t solver_cache_capacity = 4;
-  /// Factor precision of the escalation solver tier: Mixed halves the bytes
-  /// each cached factorization holds (~2x the prepared operators per byte
-  /// budget) and refines solves back to double accuracy.
+  /// Factor precision of the escalation solver tier: Mixed factors in fp32
+  /// (half the band bytes of each solve) and refines solves back to double
+  /// accuracy.
   solver::SolverPrecision solver_precision = solver::default_solver_precision();
 
   // In-flight request coalescing (cache-stampede protection). When N
@@ -189,7 +186,7 @@ struct ServeStatsSnapshot : obs::Counts<ServeCounter> {
   BreakerStats breaker;                 // solver-tier circuit breaker
   // Mixed-precision accounting of the escalation solver tier (0 under
   // double precision): refinement steps taken and double-factorization
-  // fallbacks across the cached backends.
+  // fallbacks, summed over every solve this service ran.
   std::uint64_t solver_refine_iterations = 0;
   std::uint64_t solver_refine_fallbacks = 0;
   double total_latency_ms = 0.0;
@@ -211,21 +208,12 @@ class PredictionService {
   ModelRegistry& registry() { return *registry_; }
   const ServeOptions& options() const { return options_; }
   ServeStatsSnapshot stats() const;
-  /// Per-shard result-cache counters (the /v1/metrics scrape reports a hit
-  /// ratio per shard so a skewed key distribution is visible).
-  std::vector<ResultCacheStats> cache_shard_stats() const {
-    return cache_.shard_stats();
-  }
 
   /// The worker pool this service runs on. Front ends offload request
   /// decode/submit work here to keep their I/O threads non-blocking. The
   /// TaskQueue deadlock rule applies: never block on a queued-task future
   /// from one of these workers — use Future::subscribe.
   runtime::TaskQueue& task_queue() { return *queue_; }
-
-  /// The escalation path's factorization cache (tests assert the solver
-  /// dispatch through its counters).
-  const solver::FactorizationCache& solver_cache() const { return *solver_cache_; }
 
   /// Query identity as cached (exposed for tests).
   static QueryKey make_key(const ServeRequest& request, int model_version);
@@ -259,7 +247,10 @@ class PredictionService {
   /// response (with its own latency). Every submitted request ends in
   /// finish() or fail() exactly once. `trace` is the leader's trace (may be
   /// null): finish/fail record the total-latency histogram and emit the
-  /// slow-request span dump against it.
+  /// slow-request span dump against it. Both release the inflight slots
+  /// before fulfilling any promise, so a caller whose predict() returned no
+  /// longer counts against max_inflight; past the release they touch only
+  /// the promises (the destructor's drain may already be running).
   void finish(runtime::Promise<ServeResponse>& promise, ServeResponse response,
               double start_ms, const QueryKey* key = nullptr,
               const obs::TracePtr& trace = nullptr);
@@ -302,7 +293,6 @@ class PredictionService {
   std::unique_ptr<runtime::TaskQueue> own_queue_;  // set when options.workers > 0
   runtime::TaskQueue* queue_;
   ResultCache cache_;
-  std::shared_ptr<solver::FactorizationCache> solver_cache_;
   std::unique_ptr<CircuitBreaker> breaker_;
   /// Cached registry refs (stable for the process lifetime) so the hot
   /// path never touches the registry map.
@@ -313,6 +303,8 @@ class PredictionService {
   double slow_request_ms_ = -1.0;
 
   obs::CounterTable<ServeCounter> counters_;
+  std::atomic<std::uint64_t> refine_iterations_{0};
+  std::atomic<std::uint64_t> refine_fallbacks_{0};
   std::atomic<std::uint64_t> inflight_{0};
   /// In-flight computations by query key; the mapped waiters are the
   /// attached requests fanned out to at the leader's terminal.

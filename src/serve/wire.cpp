@@ -340,14 +340,6 @@ std::string metrics_text(const PredictionService& service,
       os << row.value << "\n";
     }
   }
-  // Per-shard hit ratio: a skewed key distribution shows up as one hot
-  // shard long before the aggregate ratio moves.
-  const auto shards = service.cache_shard_stats();
-  os << "# TYPE maps_serve_cache_shard_hit_ratio gauge\n";
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    os << "maps_serve_cache_shard_hit_ratio{shard=\"" << i << "\"} "
-       << shards[i].hit_rate() << "\n";
-  }
   // Breaker: one 0/1 sample per state (the standard enum exposition).
   os << "# TYPE maps_serve_breaker_state gauge\n";
   for (const BreakerState state :

@@ -172,24 +172,6 @@ int FactorizationCache::solve_count() const {
   return total;
 }
 
-int FactorizationCache::refinement_iteration_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int total = 0;
-  for (const auto& [key, backend] : entries_) {
-    total += backend->refinement_iteration_count();
-  }
-  return total;
-}
-
-int FactorizationCache::refinement_fallback_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int total = 0;
-  for (const auto& [key, backend] : entries_) {
-    total += backend->refinement_fallback_count();
-  }
-  return total;
-}
-
 void FactorizationCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();

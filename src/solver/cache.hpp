@@ -101,10 +101,6 @@ class FactorizationCache {
   int factorization_count() const;
   /// Total solves answered by backends currently in the cache.
   int solve_count() const;
-  /// Total mixed-precision refinement iterations / double fallbacks across
-  /// backends currently in the cache (0 everywhere under double precision).
-  int refinement_iteration_count() const;
-  int refinement_fallback_count() const;
   void clear();
 
  private:

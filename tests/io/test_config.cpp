@@ -293,6 +293,22 @@ TEST(Config, ServeSolverPrecisionKey) {
   EXPECT_EQ(back.serve.solver_precision, maps::solver::SolverPrecision::Mixed);
 }
 
+TEST(Config, ServeCacheHasOneCapacityKey) {
+  // The result cache is one LRU and the solver tier keeps no factorizations:
+  // the keys that sized shards and a solver cache are unknown fields.
+  const auto cfg = mio::ServeConfig::from_json(mio::json_parse(R"({"cache_capacity": 64})"));
+  EXPECT_EQ(mio::ServeConfig::from_json(cfg.to_json()).serve.cache_capacity, 64u);
+  for (const char* removed : {R"({"cache_shards": 8})", R"({"solver_cache_capacity": 4})"}) {
+    try {
+      (void)mio::ServeConfig::from_json(mio::json_parse(removed));
+      ADD_FAILURE() << removed << " parsed";
+    } catch (const maps::MapsError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown field"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Config, ServeJobsKeys) {
   // Off by default; a journal dir implies the jobs API.
   const auto plain = mio::ServeConfig::from_json(mio::json_parse("{}"));

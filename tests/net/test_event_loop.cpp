@@ -1,11 +1,10 @@
 // net layer: EventLoop readiness dispatch, cross-thread post, interest
-// masks, poll(2) fallback backend.
+// masks.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,27 +117,4 @@ TEST(EventLoop, TickFiresRoughlyOnPeriod) {
       },
       2.0);
   EXPECT_GE(ticks, 5);
-}
-
-TEST(EventLoop, PollFallbackBackendWorks) {
-  ::setenv("MAPS_NET_FORCE_POLL", "1", 1);
-  {
-    EventLoop loop;
-    Pipe pipe;
-    std::string got;
-    loop.add_fd(pipe.reader(), EventLoop::kRead, [&](std::uint32_t) {
-      char buf[16];
-      const ssize_t n = ::read(pipe.reader(), buf, sizeof(buf));
-      ASSERT_GT(n, 0);
-      got.assign(buf, static_cast<std::size_t>(n));
-      loop.stop();
-    });
-    std::thread poster([&] {
-      loop.post([&] { ASSERT_EQ(::write(pipe.writer(), "poll", 4), 4); });
-    });
-    loop.run();
-    poster.join();
-    EXPECT_EQ(got, "poll");
-  }
-  ::unsetenv("MAPS_NET_FORCE_POLL");
 }

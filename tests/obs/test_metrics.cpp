@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -110,9 +112,6 @@ TEST(Metrics, RegistryHandsOutStableRefsAndCounts) {
   EXPECT_EQ(&c1, &c2);
   c1.add(3);
   EXPECT_GE(c2.value(), 3u);
-  auto& g = obs::registry().gauge("test.metrics.registry_gauge");
-  g.set(7.5);
-  EXPECT_DOUBLE_EQ(g.value(), 7.5);
 }
 
 TEST(Metrics, DisabledSwitchStopsHistogramRecording) {
@@ -132,17 +131,44 @@ TEST(Metrics, PrometheusNameRewritesDots) {
 
 TEST(Metrics, RenderPrometheusEmitsFamilies) {
   obs::registry().counter("test.render.hits").add(2);
-  obs::registry().gauge("test.render.depth").set(4.0);
   obs::registry().histogram("test.render.lat_ms").record(1.5);
   const std::string text = obs::registry().render_prometheus();
   EXPECT_NE(text.find("maps_test_render_hits_total 2"), std::string::npos);
-  EXPECT_NE(text.find("maps_test_render_depth 4"), std::string::npos);
   EXPECT_NE(text.find("maps_test_render_lat_ms_bucket{le="), std::string::npos);
   EXPECT_NE(text.find("maps_test_render_lat_ms_count 1"), std::string::npos);
   EXPECT_NE(text.find("maps_test_render_lat_ms_p50"), std::string::npos);
   EXPECT_NE(text.find("maps_test_render_lat_ms_p99"), std::string::npos);
   // le="+Inf" terminates every histogram family.
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
+}
+
+/// The `le` labels of one histogram family's bucket series, in page order.
+std::vector<std::string> bucket_labels(const std::string& text, const std::string& family) {
+  std::vector<std::string> out;
+  const std::string prefix = family + "_bucket{le=\"";
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    out.push_back(line.substr(prefix.size(), line.find('"', prefix.size()) - prefix.size()));
+  }
+  return out;
+}
+
+TEST(Metrics, RenderPrometheusEmitsEveryBucketWhateverTheObservations) {
+  // A series that appears mid-run has no earlier sample to rate() against:
+  // every histogram carries all finite buckets plus +Inf from its first
+  // render on.
+  auto& h = obs::registry().histogram("test.render.stable_ms");
+  h.record(0.01);
+  const auto before = bucket_labels(obs::registry().render_prometheus(),
+                                    "maps_test_render_stable_ms");
+  h.record(5000.0);
+  const auto after = bucket_labels(obs::registry().render_prometheus(),
+                                   "maps_test_render_stable_ms");
+  EXPECT_EQ(before.size(), static_cast<std::size_t>(obs::Histogram::kBuckets) + 1);
+  EXPECT_EQ(before, after);
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(after.back(), "+Inf");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
 #include "math/rng.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/fault.hpp"
 #include "serve/service.hpp"
 
@@ -157,22 +158,26 @@ TEST(PredictionService, CacheHitServedWithoutRerunningModel) {
   EXPECT_FALSE(third.cache_hit);
 }
 
+std::uint64_t factorizations_recorded() {
+  return obs::registry().histogram("solver.factorize_ms").snapshot().count;
+}
+
 TEST(PredictionService, HighFidelityDispatchesThroughSolverBackend) {
+  ASSERT_TRUE(obs::metrics_enabled());
   const auto registry = tiny_registry();
   serve::ServeOptions options;
   options.workers = 1;
   serve::PredictionService service(registry, options);
 
+  const std::uint64_t before = factorizations_recorded();
   const auto req = make_request(21, solver::FidelityLevel::High);
   const auto response = service.predict(req);
   EXPECT_EQ(response.source, serve::ResponseSource::Solver);
   EXPECT_FALSE(response.cache_hit);
   EXPECT_TRUE(response.model_id.empty());
 
-  // The solve went through the service's SolverBackend factorization cache.
-  const auto cache_stats = service.solver_cache().stats();
-  EXPECT_EQ(cache_stats.misses, 1u);
-  EXPECT_GE(service.solver_cache().factorization_count(), 1);
+  // The solve factorized the operator once, on a SolverBackend.
+  EXPECT_EQ(factorizations_recorded() - before, 1u);
   EXPECT_EQ(service.stats()[serve::ServeCounter::SolverRequests], 1u);
 
   // ... and agrees with a direct fdfd::Simulation solve at 1e-12.
@@ -189,12 +194,110 @@ TEST(PredictionService, HighFidelityDispatchesThroughSolverBackend) {
   }
   EXPECT_LT(std::sqrt(num / den), 1e-12);
 
-  // A repeat high-fidelity query is a result-cache hit (no second solve),
-  // still reported solver-grade.
+  // A repeat high-fidelity query is a result-cache hit (no second
+  // factorization), still reported solver-grade.
+  const std::uint64_t after_reference = factorizations_recorded();
   const auto again = service.predict(req);
   EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.source, serve::ResponseSource::Solver);
-  EXPECT_EQ(service.solver_cache().stats().misses, 1u);
+  EXPECT_EQ(factorizations_recorded(), after_reference);
+}
+
+TEST(PredictionService, SolverRefineCountsSumEverySolveAndNeverDecrease) {
+  // Each escalation solve runs on a backend of its own; the service adds
+  // that backend's mixed-precision refinement work to its running totals.
+  serve::ServeOptions options;
+  options.workers = 1;
+  options.solver_precision = solver::SolverPrecision::Mixed;
+  serve::PredictionService service(tiny_registry(), options);
+
+  std::uint64_t iterations = 0, fallbacks = 0, last_read = 0;
+  for (unsigned k = 0; k < 6; ++k) {
+    const auto req = make_request(500 + k, solver::FidelityLevel::High);
+    EXPECT_EQ(service.predict(req).source, serve::ResponseSource::Solver);
+    const std::uint64_t read = service.stats().solver_refine_iterations;
+    EXPECT_GE(read, last_read) << "request " << k;
+    last_read = read;
+
+    // The same solve on a backend of the test's own.
+    fdfd::SimOptions sim_options;
+    sim_options.pml = req.pml;
+    sim_options.solver = solver::SolverKind::Direct;
+    sim_options.precision = solver::SolverPrecision::Mixed;
+    fdfd::Simulation sim(req.spec, req.eps, req.omega, sim_options);
+    (void)sim.solve(req.J);
+    iterations += static_cast<std::uint64_t>(sim.backend().refinement_iteration_count());
+    fallbacks += static_cast<std::uint64_t>(sim.backend().refinement_fallback_count());
+  }
+  EXPECT_GT(iterations, 0u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.solver_refine_iterations, iterations);
+  EXPECT_EQ(stats.solver_refine_fallbacks, fallbacks);
+}
+
+TEST(PredictionService, SequentialClientIsNeverShed) {
+  // A caller whose predict() returned holds no inflight slot: with room for
+  // one request, a client that waits for each answer is never shed.
+  serve::ServeOptions options;
+  options.workers = 1;
+  options.max_inflight = 1;
+  serve::PredictionService service(tiny_registry(), options);
+  for (unsigned k = 0; k < 500; ++k) {
+    EXPECT_NO_THROW(service.predict(make_request(1000 + k))) << "request " << k;
+  }
+  EXPECT_EQ(service.stats()[serve::ServeCounter::Shed], 0u);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::SurrogateRequests], 500u);
+}
+
+serve::QueryKey spread_key(std::uint64_t i) {
+  serve::QueryKey key;
+  key.pattern_digest = (i + 1) * 0x9e3779b97f4a7c15ull;  // spread like FNV digests
+  key.omega = 1.0;
+  return key;
+}
+
+TEST(ResultCache, HoldsItsCapacityAndEvictsLeastRecentlyUsedFirst) {
+  serve::ResultCache cache(64);
+  const auto value = std::make_shared<const serve::CachedResult>();
+  for (std::uint64_t i = 0; i < 64; ++i) cache.put(spread_key(i), value);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    EXPECT_NE(cache.get(spread_key(i)), nullptr) << "key " << i;
+  }
+  EXPECT_EQ(cache.stats().entries, 64u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  // Recency now runs 0 (oldest) .. 63; a hit on 0 makes 1 the oldest.
+  ASSERT_NE(cache.get(spread_key(0)), nullptr);
+  cache.put(spread_key(64), value);
+  cache.put(spread_key(65), value);
+  EXPECT_EQ(cache.get(spread_key(1)), nullptr);
+  EXPECT_EQ(cache.get(spread_key(2)), nullptr);
+  for (const std::uint64_t i : {0u, 3u, 63u, 64u, 65u}) {
+    EXPECT_NE(cache.get(spread_key(i)), nullptr) << "key " << i;
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 64u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(ResultCache, KeysCompareOmegaBitPatterns) {
+  serve::ResultCache cache(4);
+  serve::QueryKey plus = spread_key(7), minus = spread_key(7);
+  plus.omega = 0.0;
+  minus.omega = -0.0;
+  cache.put(plus, std::make_shared<const serve::CachedResult>());
+  EXPECT_EQ(cache.get(minus), nullptr);
+  EXPECT_NE(cache.get(plus), nullptr);
+}
+
+TEST(ResultCache, CapacityZeroDisablesWithoutCounting) {
+  serve::ResultCache cache(0);
+  EXPECT_FALSE(cache.enabled());
+  cache.put(spread_key(0), std::make_shared<const serve::CachedResult>());
+  EXPECT_EQ(cache.get(spread_key(0)), nullptr);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.evictions + stats.entries, 0u);
 }
 
 TEST(PredictionService, LowConfidenceEscalatesToSolver) {
